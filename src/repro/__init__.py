@@ -48,7 +48,6 @@ from repro.core.bounds import (
     table1_rows,
 )
 from repro.core.exact import (
-    EXACT_LIMIT,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "sequential_io_bound",
     "sequential_io_upper",
     "table1_rows",
-    "EXACT_LIMIT",
     "ExpansionEstimate",
     "decode_cone_mask",
     "estimate_expansion",

@@ -12,7 +12,6 @@ from repro.core.bounds import (
     table1_rows,
 )
 from repro.core.exact import (
-    EXACT_LIMIT,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
@@ -38,7 +37,6 @@ from repro.core.partition import (
 from repro.core.dominator import hong_kung_2m_partition_bound, minimum_dominator_size
 
 __all__ = [
-    "EXACT_LIMIT",
     "exact_edge_expansion_v2",
     "exact_small_set_expansion_v2",
     "LG7",

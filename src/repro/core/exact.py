@@ -16,9 +16,7 @@ This module rebuilds the machinery around three composable ideas:
   binary-reflected doubling recurrence (each doubling step flips exactly one
   vertex into every previously enumerated subset — the batched form of a
   Gray-code walk, costing O(1) amortized words per subset), and prunes with
-  the branch-and-bound test ``boundary > d·|U|·h_best ⇒ skip``.  A scalar
-  single-bit-flip Gray walk (:func:`_gray_scan_py`) is kept as an
-  independently-coded backend that the property tests cross-check.
+  the branch-and-bound test ``boundary > d·|U|·h_best ⇒ skip``.
 
 * **Prefix-sharded parallel search** — the subset space splits into
   prefix-fixed spans (high vertex bits fixed, low bits enumerated by the
@@ -67,7 +65,6 @@ from repro.core import _native
 
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
-    "EXACT_LIMIT",
     "COMB_SUBSET_LIMIT",
     "EXACT_BACKENDS",
     "effective_exact_limit",
@@ -81,18 +78,14 @@ __all__ = [
 #: just slower (raise/lower via REPRO_EXACT_LIMIT for the machine at hand).
 DEFAULT_EXACT_LIMIT = 32
 
-#: The active ceiling: ``REPRO_EXACT_LIMIT`` overrides the default, and every
-#: public entry point also accepts an explicit ``limit=``.
-EXACT_LIMIT = int(os.environ.get("REPRO_EXACT_LIMIT", DEFAULT_EXACT_LIMIT))
-
 
 def effective_exact_limit() -> int:
     """The enumeration ceiling in force *right now*.
 
-    Reads ``REPRO_EXACT_LIMIT`` on every call (unlike :data:`EXACT_LIMIT`,
-    which is frozen at import time), so policy decisions — and the cache
-    keys derived from them — track the environment a test or sweep set
-    after this module was first imported.
+    The only reader of ``REPRO_EXACT_LIMIT``: it reads the variable on every
+    call, so policy decisions — and the cache keys derived from them — track
+    the environment a test or sweep set after this module was first
+    imported.  Every public entry point also accepts an explicit ``limit=``.
     """
     return int(os.environ.get("REPRO_EXACT_LIMIT", DEFAULT_EXACT_LIMIT))
 
@@ -101,7 +94,7 @@ COMB_SUBSET_LIMIT = 1 << 24
 
 #: The selectable enumeration backends (``"auto"`` picks native when the
 #: compiled kernel is importable, bitset otherwise).
-EXACT_BACKENDS = ("auto", "native", "bitset", "gray")
+EXACT_BACKENDS = ("auto", "native", "bitset")
 
 #: The native kernel packs each adjacency row into one uint64 word.
 _NATIVE_MAX_VERTICES = 64
@@ -117,27 +110,15 @@ def native_backend_available() -> bool:
 _LOW_BITS = 16
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for non-negative integer arrays."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: a single hardware-backed ufunc
-        return np.bitwise_count(x).astype(np.int64)
-    x = x.copy()
-    count = np.zeros_like(x, dtype=np.int64)
-    while np.any(x):
-        count += (x & type(x.flat[0])(1)).astype(np.int64)
-        x >>= 1
-    return count
-
-
-def _adjacency_ints(g: CDAG) -> list[int]:
+def _ints_from_rows(rows: np.ndarray) -> list[int]:
     """Per-vertex undirected neighborhoods as arbitrary-width Python ints.
 
-    Built from the packed :attr:`CDAG.adjacency_bits` words, so the bitset
-    rows are computed once per graph and shared by every kernel.
+    ``rows`` are packed uint64 words, one row per vertex: a graph's
+    :attr:`CDAG.adjacency_bits` (computed once per graph and shared by every
+    kernel), or the same rows read back from a pool task's shared memory.
     """
-    words = g.adjacency_bits
     out = []
-    for row in words:
+    for row in rows:
         acc = 0
         for j in range(len(row) - 1, -1, -1):
             acc = (acc << 64) | int(row[j])
@@ -334,17 +315,6 @@ _MASK64 = (1 << 64) - 1
 _SpanMsg = tuple[str, str, str, int, int, int, int, "tuple[int, ...]", int, int]
 
 
-def _ints_from_rows(rows: np.ndarray, n: int, w: int) -> list[int]:
-    """Per-vertex Python-int neighborhoods from packed uint64 rows."""
-    out = []
-    for v in range(n):
-        acc = 0
-        for j in range(w - 1, -1, -1):
-            acc = (acc << 64) | int(rows[v, j])
-        out.append(acc)
-    return out
-
-
 def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
     """One prefix span on a pool worker (or inline, under serial fallback).
 
@@ -364,7 +334,7 @@ def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
 
         def _build() -> Any:
             rows = np.frombuffer(shm.buf, dtype=np.uint64, count=n * w, offset=8)
-            adj = _ints_from_rows(rows.reshape(n, w), n, w)
+            adj = _ints_from_rows(rows.reshape(n, w))
             if backend == "native":
                 return _native_ctx(adj, list(deg), d, n, limit)
             return _ScanCtx(adj, list(deg), d, n, limit)
@@ -618,7 +588,7 @@ def _bounded_scan(
         dj = d * j
         for masks in _gosper_chunks(n, j, 1 << 14):
             member = ((masks[:, None] >> shifts[None, :]) & one).astype(np.int64)
-            inter = _popcount(masks[:, None] & adj64[None, :])
+            inter = np.bitwise_count(masks[:, None] & adj64[None, :]).astype(np.int64)
             bnd = member @ deg64 - (inter * member).sum(axis=1)
             ratios = bnd / dj
             i = int(np.argmin(ratios))
@@ -630,36 +600,8 @@ def _bounded_scan(
 
 
 # ---------------------------------------------------------------------- #
-# scalar Gray-code backends (independent implementations, cross-checked)  #
+# the scalar size-restricted walk (n > 63)                                #
 # ---------------------------------------------------------------------- #
-
-
-def _gray_scan_py(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int
-) -> tuple[float, int]:
-    """Pure-Python binary-reflected Gray walk over all 2^n − 1 subsets.
-
-    One vertex flips per step, so the boundary update is a single bitset
-    intersection; candidates are pruned with ``boundary > d·|U|·h_best``
-    before any division happens.
-    """
-    best_r, best_m = math.inf, 0
-    cur = 0
-    bnd = 0
-    for i in range(1, 1 << n):
-        nxt = i ^ (i >> 1)
-        v = (cur ^ nxt).bit_length() - 1
-        if (nxt >> v) & 1:  # v flipped in
-            bnd += deg[v] - 2 * (adj[v] & cur).bit_count()
-        else:  # v flipped out
-            bnd -= deg[v] - 2 * (adj[v] & nxt).bit_count()
-        cur = nxt
-        s = cur.bit_count()
-        if 1 <= s <= limit and bnd <= best_r * (d * s) + 1:
-            r = bnd / (d * s)
-            if r < best_r or (r == best_r and cur < best_m):
-                best_r, best_m = r, cur
-    return best_r, best_m
 
 
 def _bounded_walk_py(
@@ -711,18 +653,16 @@ def exact_edge_expansion_v2(
     Bit-identical to the seed enumerator on every input it could solve: the
     same ``h`` and the smallest minimizing subset mask.  ``jobs > 1`` shards
     the subset space over processes (identical results for any ``jobs``).
-    ``backend`` selects ``"native"`` (the compiled C kernel), ``"bitset"``
-    (vectorized numpy kernels), or ``"gray"`` (the scalar Gray-walk
-    reference); ``"auto"`` picks native when the compiled library is
-    importable and the graph fits single-word rows, bitset otherwise.  All
-    backends return bit-identical ``(h, mask)``.
+    ``backend`` selects ``"native"`` (the compiled C kernel) or ``"bitset"``
+    (vectorized numpy kernels); ``"auto"`` picks native when the compiled
+    library is importable and the graph fits single-word rows, bitset
+    otherwise.  All backends return bit-identical ``(h, mask)``.
     """
     n = g.n_vertices
     if n < 2:
         raise ValueError("expansion undefined for graphs with < 2 vertices")
-    # Per-call read, not the import-time constant: REPRO_EXACT_LIMIT flipped
-    # at runtime must move this gate in lockstep with the auto-policy cache
-    # keys (which already call effective_exact_limit()).
+    # Per-call read: REPRO_EXACT_LIMIT flipped at runtime moves this gate in
+    # lockstep with the auto-policy cache keys.
     lim = effective_exact_limit() if limit is None else limit
     if backend not in EXACT_BACKENDS:
         raise ValueError(f"unknown exact backend {backend!r}; choose from {EXACT_BACKENDS}")
@@ -746,7 +686,7 @@ def exact_edge_expansion_v2(
         # Edgeless graph: every ratio is 0/0; mirror the seed enumerator,
         # which reported NaN with the first singleton as witness.
         return math.nan, _mask_to_bool(1, n)
-    adj = _adjacency_ints(g)
+    adj = _ints_from_rows(g.adjacency_bits)
     deg = [int(x) for x in g.degree]
 
     restricted = max_size is not None
@@ -765,13 +705,6 @@ def exact_edge_expansion_v2(
                 f"limit {lim} and C({n}, <={size_cap}) = {comb_count} exceeds "
                 f"{COMB_SUBSET_LIMIT} subsets"
             )
-
-    if backend == "gray":
-        if restricted:
-            r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
-        else:
-            r, m = _gray_scan_py(adj, deg, d, n, n // 2)
-        return r, _mask_to_bool(m, n)
 
     # Cost-based choice between the full doubling scan and the combinatorial
     # walk; both are exact and tie-break identically, so this is pure perf.

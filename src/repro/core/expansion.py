@@ -10,8 +10,8 @@ degree ``d`` (§2.0.2) — loops never cross a cut, so in practice we divide by
 
 Exact ``h`` is NP-hard, so the module offers a *sandwich*:
 
-* **exact enumeration** for small graphs (≤ :data:`EXACT_LIMIT` = 32
-  vertices by default) — ground truth for the test suite and for the
+* **exact enumeration** for small graphs (≤ :func:`effective_exact_limit`
+  vertices, 32 by default) — ground truth for the test suite and for the
   ``Dec_k C`` base cases (``Dec₁C`` of every scheme, and ``Dec₂C`` of the
   ⟨1,2,2⟩-type rectangular schemes).  The enumeration itself lives in
   :mod:`repro.core.exact` (bitset kernels, Gray-style incremental scans, a
@@ -46,18 +46,15 @@ from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
 from repro.cdag.strassen_cdag import dec_level_sizes
 from repro.core.exact import (
-    EXACT_LIMIT,
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
-from repro.core.exact import _popcount as _popcount  # back-compat re-export
 
 if TYPE_CHECKING:
     from repro.core.certify import ExpansionInterval
 
 __all__ = [
-    "EXACT_LIMIT",
     "effective_exact_limit",
     "ExpansionEstimate",
     "expansion_of_cut",
@@ -70,12 +67,6 @@ __all__ = [
     "estimate_expansion",
     "claim_2_1_small_set_bound",
 ]
-
-#: The exact-enumeration ceiling (re-exported from :mod:`repro.core.exact`;
-#: 32 by default, overridable via ``REPRO_EXACT_LIMIT``).  Public because the
-#: engine's policy selection and the experiments branch on it.
-_EXACT_LIMIT = EXACT_LIMIT  # backwards-compatible alias
-
 
 @dataclass(frozen=True)
 class ExpansionEstimate:
@@ -131,7 +122,7 @@ def exact_edge_expansion(
 
     Returns ``(h, best_mask)`` — bit-identical to the seed brute-force
     enumerator (same ``h``, smallest minimizing mask).  Feasible for
-    ``|V| <= EXACT_LIMIT`` (32 by default); with ``max_size`` set, the
+    ``|V| <= effective_exact_limit()`` (32 by default); with ``max_size`` set, the
     size-restricted walk also solves much larger graphs as long as
     ``C(n, <=max_size)`` stays enumerable.  ``jobs > 1`` shards the subset
     space over worker processes without changing the result.
@@ -339,7 +330,7 @@ def estimate_expansion(
 ) -> ExpansionEstimate:
     """Two-sided expansion estimate.
 
-    Graphs up to :data:`EXACT_LIMIT` vertices are solved exactly (``jobs``
+    Graphs up to :func:`effective_exact_limit` vertices are solved exactly (``jobs``
     shards the subset search over processes).  Larger graphs get the Cheeger
     lower bound and the best of (Fiedler sweep, decode cones when
     ``scheme``/``k`` describe the graph as a ``Dec_k C``).

@@ -1,15 +1,13 @@
 """The benchmark subsystem: registered workloads, measured runs, baselines.
 
-The repo's performance story used to live in ad-hoc ``pytest-benchmark``
-scripts that printed tables and discarded every timing.  This module makes
-the workloads first-class objects, mirroring the parallel-algorithm
-registry: a :func:`register_bench` decorator collects named workloads
-(CDAG builds, spectral/exact expansion, sequential-IO sweeps, cold/warm
-grid sweeps, the strong-scaling sweep), one harness times them, and the
-result is a machine-readable ``BENCH_<tag>.json`` that
-``python -m repro bench --compare`` can gate regressions against.  The
-``benchmarks/bench_*.py`` pytest files are thin wrappers over the same
-registry, so the CLI and pytest-benchmark share one workload definition.
+This module makes the benchmark workloads first-class objects, mirroring
+the parallel-algorithm registry: a :func:`register_bench` decorator
+collects named workloads (CDAG builds, spectral/exact expansion,
+sequential-IO sweeps, cold/warm grid sweeps, the strong-scaling sweep), one
+harness times them, and the result is a machine-readable
+``BENCH_<tag>.json`` that ``python -m repro bench --compare`` can gate
+regressions against — timings within a threshold, each workload's
+``check`` block exactly.
 
 ``BENCH_*.json`` schema (``BENCH_SCHEMA_VERSION = 3``)
 ------------------------------------------------------
@@ -143,23 +141,6 @@ class BenchWorkload:
         if not quick:
             return dict(self.params)
         return {**self.params, **self.quick_params}
-
-    def call(
-        self,
-        cache: EngineCache | None = None,
-        quick: bool = False,
-        **overrides: Any,
-    ) -> dict:
-        """Run the workload once (untimed) and return its payload.
-
-        This is the entry point the ``benchmarks/bench_*.py`` pytest
-        wrappers use: the same function, parameterized the same way, with
-        per-test overrides allowed (e.g. a different scheme).
-        """
-        if cache is None:
-            cache = EngineCache(disk=False)
-        params = {**self.resolve_params(quick), **overrides}
-        return self.func(cache, **params)
 
 
 _BENCHES: dict[str, BenchWorkload] = {}
@@ -563,8 +544,7 @@ def render_comparison(cmp: BenchComparison) -> str:
 #
 # Each function is deterministic, takes the harness's EngineCache first,
 # and returns a payload whose "check" entry is the scalar science the
-# comparison gate pins.  The pytest wrappers in benchmarks/bench_*.py call
-# these same functions (via BenchWorkload.call) and assert on the payload.
+# comparison gate pins.
 
 
 @register_bench(
@@ -583,8 +563,6 @@ def _bench_cdag_build(cache: EngineCache, scheme: str, k: int) -> dict:
     g = dec_graph(scheme, k)
     hg = h_graph(scheme, k)
     return {
-        "dec": g,
-        "h": hg,
         "check": {
             "dec_V": g.n_vertices,
             "dec_E": g.n_edges,
@@ -613,9 +591,6 @@ def _bench_cdag_structure(cache: EngineCache, scheme: str, k: int) -> dict:
     fig3 = figure3_tree_report(scheme, k, cache=cache)
     connectivity = dec1_connectivity_table(cache=cache)
     return {
-        "fig2": fig2,
-        "fig3": fig3,
-        "connectivity": connectivity,
         "check": {
             "dec1_V": fig2["dec1"]["V"],
             "deck_max_degree": fig2["deck"]["max_degree"],
@@ -676,7 +651,6 @@ def _bench_exact_v2(cache: EngineCache, n_head: int, n_deep: int, dec2_scheme: s
     h_deep, m_deep = exact_edge_expansion(g_deep)
     est = cached_estimate(dec2_scheme, 2, policy="auto", cache=cache)
     return {
-        "estimate": est,
         "check": {
             "h_head": h_head,
             "head_witness": int(m_head.sum()),
@@ -724,9 +698,8 @@ def _bench_exact_native(cache: EngineCache, n: int, jobs: int) -> dict:
 
     Explicitly requests ``backend="native"`` so the timing row measures the
     compiled kernel; when the build is unavailable (``REPRO_NATIVE=0`` legs)
-    the workload degrades to the bitset backend and says so in its check —
-    the ``h`` value is bit-identical either way, so check comparison across
-    legs still passes.
+    the workload degrades to the bitset backend — the ``h`` value is
+    bit-identical either way, so check comparison across legs still passes.
     """
     from repro.cdag.build import layered_circulant_cdag
     from repro.core.exact import exact_edge_expansion_v2, native_backend_available
@@ -741,7 +714,6 @@ def _bench_exact_native(cache: EngineCache, n: int, jobs: int) -> dict:
             "h": h,
             "witness": int(mask.sum()),
         },
-        "backend": backend,
     }
 
 
@@ -789,7 +761,6 @@ def _bench_expansion_spectral(cache: EngineCache, scheme: str, k: int) -> dict:
 
     est = cached_estimate(scheme, k, policy="spectral", cache=cache)
     return {
-        "estimate": est,
         "check": {
             "lower": est.lower,
             "upper": est.upper,
@@ -818,8 +789,6 @@ def _bench_expansion_decay(
     decay = expansion_decay(scheme, k_max=k_max, spectral_upto=spectral_upto, cache=cache)
     small = small_set_profile(scheme, k=k_max, cache=cache)
     return {
-        "decay": decay,
-        "small_set": small,
         "check": {
             "uppers": [r["upper"] for r in decay["rows"]],
             "expected_decay": decay["expected_decay"],
@@ -843,7 +812,6 @@ def _bench_seq_io_sweep(
     del cache
     result = n_sweep(scheme, M=M, t_range=range(4, t_max + 1), simulate_upto=simulate_upto)
     return {
-        "n_sweep": result,
         "check": {
             "fit_exponent": result["fit_exponent"],
             "words": [r["measured_words"] for r in result["rows"]],
@@ -876,7 +844,7 @@ def _bench_seq_io_models(
     m_result = m_sweep("strassen", n=n_m_sweep)
     omega = omega_sweep(M=192, depth=omega_depth)
     cutoff = cutoff_ablation(n=512, M=3 * 32 * 32)
-    classical = classical_comparison(M=192, n=128)
+    classical_comparison(M=192, n=128)  # timed with the rest; no check output
     hybrid_rows = []
     for k in range(0, hybrid_levels + 1):
         schemes = ["strassen"] * k + ["classical2"] * (hybrid_levels - k)
@@ -889,11 +857,6 @@ def _bench_seq_io_models(
             }
         )
     return {
-        "m_sweep": m_result,
-        "omega_sweep": omega,
-        "cutoff": cutoff,
-        "classical": classical,
-        "hybrid_rows": hybrid_rows,
         "check": {
             "m_fit_exponent": m_result["fit_exponent"],
             "omega_fits": {r["scheme"]: r["fit_exponent"] for r in omega["rows"]},
@@ -916,7 +879,6 @@ def _bench_seq_io_simulate(cache: EngineCache, n: int, M: int, scheme: str) -> d
     del cache
     rep = dfs_io(n, M, scheme)
     return {
-        "report": rep,
         "check": {
             "words": rep.words,
             "messages": rep.messages,
@@ -979,8 +941,6 @@ def _bench_partition_bound(cache: EngineCache, deep: bool) -> dict:
         "belady": schedule_io(g_tiny, order, M=4, policy="belady").total,
     }
     return {
-        "rows": rows,
-        "tiny": tiny,
         "check": {
             "bounds": [r["partition_bound"] for r in rows],
             "measured": [r["measured_io"] for r in rows],
@@ -1003,8 +963,6 @@ def _bench_latency(cache: EngineCache, M: int, ns: Sequence[int], n_parallel: in
     seq = sequential_latency("strassen", M=M, ns=tuple(ns))
     par = parallel_latency(n=n_parallel)
     return {
-        "sequential": seq,
-        "parallel": par,
         "check": {
             "seq_messages": [r["measured_messages"] for r in seq["rows"]],
             "par_messages": [r["measured_messages"] for r in par["rows"]],
@@ -1044,7 +1002,7 @@ def _bench_grid_sweep_cold(cache: EngineCache, schemes: Sequence[str], k_max: in
     from repro.engine.grid import run_grid
 
     report = run_grid(_grid_spec(schemes, k_max), cache=cache)
-    return {"report": report, "check": _grid_check(report)}
+    return {"check": _grid_check(report)}
 
 
 @register_bench(
@@ -1061,7 +1019,7 @@ def _bench_grid_sweep_warm(cache: EngineCache, schemes: Sequence[str], k_max: in
     report = run_grid(_grid_spec(schemes, k_max), cache=cache)
     check = _grid_check(report)
     check["rebuilds"] = report.rebuilds
-    return {"report": report, "check": check}
+    return {"check": check}
 
 
 @register_bench(
@@ -1083,8 +1041,7 @@ def _bench_pool_cold_vs_warm(
     hold on every leg — identical rows and **zero** new processes for the
     warm sweep (trivially true under ``REPRO_POOL=0``, load-bearing when
     pooled); the cold/warm split and their ratio land in the ungated
-    ``metrics`` block (the ``benchmarks/bench_pool.py`` wrapper asserts the
-    warm-speedup floor where a pool actually runs).
+    ``metrics`` block.
     """
     from repro.engine.grid import run_grid
 
@@ -1102,8 +1059,6 @@ def _bench_pool_cold_vs_warm(
         k: v - before.get(k, 0) for k, v in pool_runtime.pool_stats_snapshot().items()
     }
     return {
-        "cold": cold_report,
-        "warm": warm_report,
         "metrics": {
             "cold_seconds": cold_s,
             "warm_seconds": warm_s,
@@ -1134,7 +1089,6 @@ def _bench_scaling_sweep(cache: EngineCache, n: int, p_max: int, cs: Sequence[in
     spec = ScalingSpec(algos=tuple(available_parallel()), n=n, p_max=p_max, cs=tuple(cs))
     report = scaling_sweep(spec, cache=cache)
     return {
-        "report": report,
         "check": {
             "points": len(report.rows),
             "words_total": sum(r["measured_words"] for r in report.rows),
@@ -1171,7 +1125,6 @@ def _bench_plan_tournament(cache: EngineCache, n: int, topologies: Sequence[str]
             winners[f"{spec}@{limit}"] = winner
         searched += sum(len(t["rows"]) for t in report["tables"])
     return {
-        "reports": reports,
         "check": {
             "winners": winners,
             "ranked_plans": searched,
@@ -1210,9 +1163,6 @@ def _bench_memory_sweep(cache: EngineCache, n: int, q: int, cs: Sequence[int]) -
                 }
             )
     return {
-        "c_sweep": result,
-        "numerator_rows": numerator_rows,
-        "numerator_n": nn,
         "check": {
             "words": [r["measured_words"] for r in result["rows"]],
             "regimes": [r["M_regime"] for r in result["rows"]],
@@ -1251,9 +1201,6 @@ def _bench_table1_scaling(
     three_d = threed_scaling(n=n, qs=tuple(qs3d))
     caps = caps_scaling(n0_factor=n0_factor, ells=tuple(ells))
     return {
-        "2d": two_d,
-        "3d": three_d,
-        "caps": caps,
         "check": {
             "cannon_p_exponent": two_d["cannon_p_exponent"],
             "threed_p_exponent": three_d["p_exponent"],
@@ -1276,7 +1223,6 @@ def _bench_caps_tradeoff(cache: EngineCache, n: int, ell: int) -> dict:
     del cache
     result = caps_memory_sweep(n=n, ell=ell)
     return {
-        "sweep": result,
         "check": {
             "words": {r["schedule"]: r["measured_words"] for r in result["rows"]},
             "mem_peaks": {r["schedule"]: r["mem_peak"] for r in result["rows"]},
@@ -1293,7 +1239,6 @@ def _bench_table1(cache: EngineCache, n: int) -> dict:
     del cache
     rows = table1_summary(n=n)
     return {
-        "rows": rows,
         "check": {
             "measured": {f"{r['regime']}/{r['class']}": r["measured_words"] for r in rows},
         },
@@ -1376,7 +1321,6 @@ def _bench_serve_load(cache: EngineCache, clients: int, repeats: int, scheme: st
     result = asyncio.run(_serve_load_drive(cache, clients, repeats, scheme, k))
     builds = cache.stats.builds
     return {
-        "load": result,
         "metrics": {
             "requests": result["total"],
             "requests_per_s": result["requests_per_s"],

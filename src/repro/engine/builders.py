@@ -226,7 +226,7 @@ def cached_estimate(
 ) -> ExpansionEstimate:
     """Two-sided expansion estimate of ``Dec_k C``, cached by (scheme, k, policy).
 
-    Policies: ``exact`` (enumeration, up to ``EXACT_LIMIT`` vertices —
+    Policies: ``exact`` (enumeration, up to ``effective_exact_limit()`` vertices —
     ``Dec_2`` of the ⟨1,2,2⟩-type rectangular schemes now solves exactly
     under ``auto``), ``spectral`` (Cheeger lower + best of Fiedler sweep /
     decode cone), ``cone`` (decode-cone upper bound only, NaN lower), and

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from repro.cdag.schemes import get_scheme
-from repro.core.expansion import EXACT_LIMIT
+from repro.core.exact import effective_exact_limit
 from repro.engine.builders import cached_dec_graph, cached_estimate
 from repro.engine.cache import EngineCache
 from repro.util.numutil import fit_power_law
@@ -31,8 +31,9 @@ def expansion_decay(
 ) -> dict:
     """Two-sided h(Dec_k C) estimates for k = 1..k_max plus decay fits.
 
-    Rows whose graph fits under :data:`EXACT_LIMIT` are solved exactly —
-    with the v2 engine (limit 28) that now reaches past ``Dec_1``: e.g.
+    Rows whose graph fits under :func:`effective_exact_limit` (read per
+    call, so ``REPRO_EXACT_LIMIT`` set after import applies) are solved
+    exactly — with the v2 engine that reaches past ``Dec_1``: e.g.
     ``Dec_2`` of the ⟨1,2,2⟩-type rectangular schemes gets an exact row
     where it previously leaned on the spectral/cone sandwich alone.
     ``spectral_upto`` caps the eigen-solves (they dominate cold run time);
@@ -45,9 +46,10 @@ def expansion_decay(
     ratio = s.c_blocks / s.t0
     rows = []
     ks, uppers = [], []
+    exact_limit = effective_exact_limit()
     for k in range(1, k_max + 1):
         g = cached_dec_graph(s, k, cache=cache)
-        if g.n_vertices <= EXACT_LIMIT:
+        if g.n_vertices <= exact_limit:
             policy = "exact"
         elif k <= spectral_upto:
             policy = "spectral"

@@ -10,9 +10,8 @@ API — a pure cost estimate and a simulation, both driven by one frozen
     get_parallel("caps").estimate(cfg)          # AnalyticCost — no arrays
     get_parallel("caps").execute(A, B, cfg)     # ParallelResult — simulation
 
-``run(A, B, p=...)`` remains as a compatibility shim over ``execute``
-(positional use warns once per algorithm); the legacy per-algorithm
-``*_multiply`` wrappers are gone.
+``run_parallel(name, A, B, p=...)`` is the keyword convenience that builds
+the ``ParallelConfig`` from the operands and calls ``execute``.
 """
 
 from repro.parallel.base import (

@@ -7,8 +7,7 @@ interface, mirroring the bilinear-scheme registry in
 :mod:`repro.cdag.schemes`:
 
 * :class:`ParallelConfig` — one frozen record naming a configuration
-  ``(n, p, c, scheme, schedule, memory_limit)``; it replaces the loose
-  kwarg soup that used to flow through ``run(A, B, *, p, c=1, ...)``.
+  ``(n, p, c, scheme, schedule, memory_limit)``.
 * :class:`ParallelAlgorithm` — the protocol every algorithm implements:
   a declared **validity predicate** (``validate``: square grid, cube,
   replication factor c, rank count t₀^ℓ, block divisibility), declared
@@ -20,7 +19,7 @@ interface, mirroring the bilinear-scheme registry in
     a :class:`~repro.topology.Topology`'s capacity.  Never touches numpy
     arrays or the simulator (checker RC203 enforces this).
   - ``execute(A, B, cfg, verify=False) -> ParallelResult`` — the
-    simulation, semantics unchanged from the historical ``run``.
+    simulation.
 
 * ``@register_parallel`` / :func:`get_parallel` /
   :func:`available_parallel` — the registry (``cannon``, ``summa``, ``3d``,
@@ -29,16 +28,14 @@ interface, mirroring the bilinear-scheme registry in
   messages, α–β time, per-rank memory peaks), promoted here so sibling
   algorithms stop importing it from ``parallel/cannon.py``.
 
-``run(A, B, p=...)`` remains as a thin compatibility shim over
-``execute``; positional use beyond ``(A, B)`` is deprecated and warns once
-per algorithm.
+:func:`run_parallel` is the keyword convenience over ``execute``: it builds
+the :class:`ParallelConfig` from ``A``'s size and the keywords given.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -199,7 +196,7 @@ class ParallelAlgorithm(abc.ABC):
     Subclasses declare classification metadata (``algorithm_class``,
     ``regime``, ``requirement``, ``attains``), a validity predicate, the
     analytic cost formulas, and the superstep kernel ``_execute``; the
-    shared :meth:`run` driver does everything else.
+    shared :meth:`execute` driver does everything else.
     """
 
     name: str = "?"
@@ -210,7 +207,7 @@ class ParallelAlgorithm(abc.ABC):
     supports_replication: bool = False     # accepts c > 1
     uses_scheme: bool = False              # recursion driven by a BilinearScheme
     default_scheme: str | None = None
-    option_names: tuple[str, ...] = ()     # extra run() keywords this algorithm takes
+    option_names: tuple[str, ...] = ()     # extra ParallelConfig options it takes
 
     # -- declared predicates and formulas ------------------------------- #
 
@@ -409,8 +406,7 @@ class ParallelAlgorithm(abc.ABC):
     ) -> ParallelResult:
         """Simulate one configuration: validate, run supersteps, assemble.
 
-        Semantics are the historical ``run`` driver's, unchanged: input
-        shape checks, validity checking, ``Machine`` construction,
+        Input shape checks, validity checking, ``Machine`` construction,
         flop-phase flushing, optional verification against ``A @ B``, and
         result assembly with the declared analytic costs attached.
         """
@@ -450,71 +446,12 @@ class ParallelAlgorithm(abc.ABC):
             verified=verified,
         )
 
-    def run(
-        self,
-        A: np.ndarray,
-        B: np.ndarray,
-        *args: Any,
-        p: int | None = None,
-        c: int = 1,
-        memory_limit: int | None = None,
-        scheme: BilinearScheme | str | None = None,
-        verify: bool = False,
-        **options: Any,
-    ) -> ParallelResult:
-        """Compatibility shim over :meth:`execute`.
-
-        Keyword use (``run(A, B, p=16)``) stays supported; positional
-        extras (``run(A, B, 16)``) are deprecated and warn once per
-        algorithm.  New code should build a :class:`ParallelConfig` and
-        call :meth:`execute` directly.
-        """
-        if args:
-            if self.name not in _positional_run_warned:
-                _positional_run_warned.add(self.name)
-                warnings.warn(
-                    f"positional arguments to {self.name}.run() are deprecated; "
-                    "build a ParallelConfig and call execute(A, B, cfg)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            if len(args) > 2:
-                raise TypeError(
-                    f"{self.name}.run() takes at most (A, B, p, c) positionally "
-                    f"(got {2 + len(args)} positional arguments)"
-                )
-            if p is not None:
-                raise TypeError(f"{self.name}.run() got p both positionally and by keyword")
-            p = int(args[0])
-            if len(args) == 2:
-                c = int(args[1])
-        if p is None:
-            raise TypeError(f"{self.name}.run() missing required argument: 'p'")
-        self._check_options("run", options)
-        A = np.asarray(A)
-        if A.ndim != 2:
-            raise ValueError("A and B must be equal square matrices")
-        if isinstance(scheme, BilinearScheme):
-            scheme = scheme.name
-        cfg = ParallelConfig(
-            n=int(A.shape[0]),
-            p=p,
-            c=c,
-            scheme=scheme,
-            schedule=options.get("schedule"),
-            memory_limit=memory_limit,
-        )
-        return self.execute(A, B, cfg, verify=verify)
-
 
 # ---------------------------------------------------------------------- #
 # registry                                                                #
 # ---------------------------------------------------------------------- #
 
 _REGISTRY: dict[str, ParallelAlgorithm] = {}
-
-# Algorithms that already emitted the positional-run() DeprecationWarning.
-_positional_run_warned: set[str] = set()
 
 
 def register_parallel(cls: type[ParallelAlgorithm]) -> type[ParallelAlgorithm]:
@@ -550,10 +487,28 @@ def available_parallel() -> list[str]:
 
 
 def run_parallel(
-    name: str, A: np.ndarray, B: np.ndarray, *, p: int, **kwargs: Any
+    name: str,
+    A: np.ndarray,
+    B: np.ndarray,
+    *,
+    p: int,
+    c: int = 1,
+    memory_limit: int | None = None,
+    scheme: str | None = None,
+    schedule: str | None = None,
+    verify: bool = False,
 ) -> ParallelResult:
-    """Convenience: ``get_parallel(name).run(A, B, p=p, **kwargs)``."""
-    return get_parallel(name).run(A, B, p=p, **kwargs)
+    """Convenience: build the :class:`ParallelConfig` for ``A @ B`` and
+    :meth:`~ParallelAlgorithm.execute` it on algorithm ``name``."""
+    cfg = ParallelConfig(
+        n=int(np.shape(A)[0]),
+        p=p,
+        c=c,
+        scheme=scheme,
+        schedule=schedule,
+        memory_limit=memory_limit,
+    )
+    return get_parallel(name).execute(A, B, cfg, verify=verify)
 
 
 # ---------------------------------------------------------------------- #

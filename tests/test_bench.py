@@ -68,10 +68,6 @@ class TestRegistry:
         assert w.resolve_params(quick=True) == {"x": 2, "y": 3}
         assert "scratch" in bench_groups()["cdag"]
 
-    def test_call_applies_overrides(self, scratch_workload):
-        payload = get_bench("scratch").call(quick=True, x=5)
-        assert payload["check"] == {"product": 15}
-
     def test_duplicate_name_rejected(self, scratch_workload):
         with pytest.raises(ValueError, match="already registered"):
             register_bench("scratch", "cdag")(lambda cache: {"check": {}})

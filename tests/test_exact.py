@@ -1,12 +1,15 @@
 """Tests for the exact-expansion engine v2 (repro.core.exact).
 
 The seed brute-force enumerator is kept *here* as the ground-truth oracle:
-every v2 kernel (vectorized bitset scan, scalar Gray walk, size-restricted
-combinatorial walk, process-parallel sharding) must reproduce its results
-bit-for-bit — the same ``h`` float and the same (smallest) witness mask.
+every v2 kernel (vectorized bitset scan, size-restricted combinatorial
+walk, process-parallel sharding) must reproduce its results bit-for-bit —
+the same ``h`` float and the same (smallest) witness mask.  A scalar Gray
+walk (:func:`_gray_scan_py`) is a second, independently coded oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -18,10 +21,10 @@ from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
-    EXACT_LIMIT,
-    _adjacency_ints,
     _bounded_walk_py,
-    _gray_scan_py,
+    _ints_from_rows,
+    _mask_to_bool,
+    effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
@@ -57,6 +60,40 @@ def _oracle(g: CDAG, max_size: int | None = None):
         if (int(masks[best]) >> i) & 1:
             best_mask[i] = True
     return float(ratios[best]), best_mask
+
+
+def _gray_scan_py(
+    adj: list[int], deg: list[int], d: int, n: int, limit: int
+) -> tuple[float, int]:
+    """Pure-Python binary-reflected Gray walk over all 2^n − 1 subsets.
+
+    One vertex flips per step, so the boundary update is a single bitset
+    intersection; candidates are pruned with ``boundary > d·|U|·h_best``
+    before any division happens.
+    """
+    best_r, best_m = math.inf, 0
+    cur = 0
+    bnd = 0
+    for i in range(1, 1 << n):
+        nxt = i ^ (i >> 1)
+        v = (cur ^ nxt).bit_length() - 1
+        if (nxt >> v) & 1:  # v flipped in
+            bnd += deg[v] - 2 * (adj[v] & cur).bit_count()
+        else:  # v flipped out
+            bnd -= deg[v] - 2 * (adj[v] & nxt).bit_count()
+        cur = nxt
+        s = cur.bit_count()
+        if 1 <= s <= limit and bnd <= best_r * (d * s) + 1:
+            r = bnd / (d * s)
+            if r < best_r or (r == best_r and cur < best_m):
+                best_r, best_m = r, cur
+    return best_r, best_m
+
+
+def _scalar_args(g: CDAG) -> tuple[list[int], list[int], int, int]:
+    """``(adj, deg, d, n)`` in the form the scalar walks take."""
+    adj = _ints_from_rows(g.adjacency_bits)
+    return adj, [int(x) for x in g.degree], g.max_degree, g.n_vertices
 
 
 def _random_graph(n: int, seed: int, p: float = 0.35) -> CDAG | None:
@@ -104,15 +141,16 @@ class TestPropertyOracle:
         g = _random_graph(n, seed)
         if g is None:
             return
+        adj, deg, d, _ = _scalar_args(g)
         h_ref, m_ref = _oracle(g)
-        h_g, m_g = exact_edge_expansion_v2(g, backend="gray")
+        h_g, m_g = _gray_scan_py(adj, deg, d, n, n // 2)
         assert h_g == h_ref
-        assert np.array_equal(m_g, m_ref)
+        assert np.array_equal(_mask_to_bool(m_g, n), m_ref)
         s = max(1, n // 3)
         h_ref_s, m_ref_s = _oracle(g, max_size=s)
-        h_gs, m_gs = exact_edge_expansion_v2(g, max_size=s, backend="gray")
+        h_gs, m_gs = _bounded_walk_py(adj, deg, d, n, s)
         assert h_gs == h_ref_s
-        assert np.array_equal(m_gs, m_ref_s)
+        assert np.array_equal(_mask_to_bool(m_gs, n), m_ref_s)
 
 
 class TestBackendsAgree:
@@ -120,16 +158,14 @@ class TestBackendsAgree:
     def test_dec1_all_backends(self, scheme):
         g = dec_graph(scheme, 1)
         h_ref, m_ref = _oracle(g)
-        for kwargs in ({}, {"backend": "gray"}):
+        for kwargs in ({}, {"backend": "bitset"}):
             h, m = exact_edge_expansion_v2(g, **kwargs)
             assert h == h_ref
             assert np.array_equal(m, m_ref)
 
     def test_scalar_kernels_directly(self):
         g = layered_circulant_cdag(12)
-        adj = _adjacency_ints(g)
-        deg = [int(x) for x in g.degree]
-        d = g.max_degree
+        adj, deg, d, _ = _scalar_args(g)
         h_ref, m_ref = _oracle(g)
         r_gray, m_gray = _gray_scan_py(adj, deg, d, 12, 6)
         assert r_gray == h_ref
@@ -153,8 +189,8 @@ class TestParallelSharding:
 
 
 class TestRuntimeLimitFlip:
-    """Regression: the v2 gate read the import-time EXACT_LIMIT constant
-    while the auto-policy cache keys read effective_exact_limit() — flipping
+    """Regression: gates that read an import-time copy of the ceiling while
+    the auto-policy cache keys read effective_exact_limit() — flipping
     REPRO_EXACT_LIMIT at runtime desynchronized them."""
 
     def test_gate_follows_env_at_runtime(self, monkeypatch):
@@ -173,6 +209,19 @@ class TestRuntimeLimitFlip:
         monkeypatch.setenv("REPRO_EXACT_LIMIT", "12")
         assert estimate_expansion(g).method == "exact"
 
+    def test_expansion_decay_policy_follows_env(self, monkeypatch):
+        from repro.engine.cache import EngineCache
+        from repro.experiments.expansion_exp import expansion_decay
+
+        monkeypatch.setenv("REPRO_EXACT_LIMIT", "8")
+        result = expansion_decay("strassen", k_max=2, cache=EngineCache(disk=False))
+        row = result["rows"][0]
+        assert (row["k"], row["V"]) == (1, 11)
+        assert row["method"] != "exact"
+        monkeypatch.delenv("REPRO_EXACT_LIMIT")
+        result = expansion_decay("strassen", k_max=2, cache=EngineCache(disk=False))
+        assert result["rows"][0]["method"] == "exact"
+
     def test_explicit_limit_still_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXACT_LIMIT", "8")
         g = layered_circulant_cdag(10)
@@ -183,7 +232,7 @@ class TestRuntimeLimitFlip:
 class TestRaisedLimit:
     def test_limit_is_32_plus(self):
         assert DEFAULT_EXACT_LIMIT >= 32
-        assert EXACT_LIMIT >= 32
+        assert effective_exact_limit() >= 32
 
     def test_n26_full_solve_works(self):
         g = layered_circulant_cdag(26)
@@ -211,7 +260,7 @@ class TestRaisedLimit:
         assert h == pytest.approx(expansion_of_cut(g, mask))
 
     def test_beyond_limit_rejected_without_max_size(self):
-        g = layered_circulant_cdag(EXACT_LIMIT + 1)
+        g = layered_circulant_cdag(effective_exact_limit() + 1)
         with pytest.raises(ValueError, match="enumeration"):
             exact_edge_expansion_v2(g)
 
@@ -258,9 +307,8 @@ class TestSmallSetWalk:
 
     def test_40_vertex_matches_scalar_walk(self):
         g = layered_circulant_cdag(40)
-        adj = _adjacency_ints(g)
-        deg = [int(x) for x in g.degree]
-        r_walk, m_walk = _bounded_walk_py(adj, deg, g.max_degree, 40, 3)
+        adj, deg, d, _ = _scalar_args(g)
+        r_walk, m_walk = _bounded_walk_py(adj, deg, d, 40, 3)
         h3, mask = exact_small_set_expansion_v2(g, 3)
         assert h3 == r_walk
 
@@ -274,9 +322,8 @@ class TestSmallSetWalk:
         # combinatorial walk (arbitrary-width ints) takes over seamlessly.
         g = layered_circulant_cdag(70)
         h2, mask = exact_edge_expansion_v2(g, max_size=2)
-        adj = _adjacency_ints(g)
-        deg = [int(x) for x in g.degree]
-        r_ref, _ = _bounded_walk_py(adj, deg, g.max_degree, 70, 2)
+        adj, deg, d, _ = _scalar_args(g)
+        r_ref, _ = _bounded_walk_py(adj, deg, d, 70, 2)
         assert h2 == r_ref
         assert 1 <= mask.sum() <= 2
 
@@ -296,7 +343,7 @@ class TestBitsetAdjacency:
 
     def test_adjacency_ints_roundtrip(self):
         g = layered_circulant_cdag(70)  # multi-word rows
-        adj = _adjacency_ints(g)
+        adj = _ints_from_rows(g.adjacency_bits)
         u, v = g.undirected_edges
         expect = [0] * 70
         for a, b in zip(u.tolist(), v.tolist()):

@@ -128,13 +128,6 @@ class TestVectorizedExact:
             h_ref, _ = _exact_edge_expansion_reference(path_graph, max_size=s)
             assert h_new == h_ref
 
-    def test_popcount_vectorized(self):
-        from repro.core.expansion import _popcount
-
-        values = np.array([0, 1, 2, 3, 7, 255, 2**22 - 1, 2**40 + 5], dtype=np.int64)
-        expected = [bin(int(v)).count("1") for v in values]
-        assert _popcount(values).tolist() == expected
-
 
 class TestEigsExceptionHandling:
     """_two_smallest_eigs must fall back only on solver failures; real bugs

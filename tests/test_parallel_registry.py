@@ -1,7 +1,5 @@
 """Tests for the parallel-algorithm registry and the planner-first API."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -266,30 +264,3 @@ class TestEstimate:
                 assert cfg.p <= 64
                 algo.estimate(cfg)  # must not raise
 
-
-class TestRunShimDeprecation:
-    def test_positional_run_warns_once_per_algorithm(self):
-        from repro.parallel import base as parallel_base
-
-        A, B = _pair(16)
-        algo = get_parallel("cannon")
-        parallel_base._positional_run_warned.discard("cannon")
-        with pytest.warns(DeprecationWarning, match="positional arguments"):
-            r1 = algo.run(A, B, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would fail
-            r2 = algo.run(A, B, 16)
-        assert np.array_equal(r1.C, r2.C)
-
-    def test_positional_p_conflicts_with_keyword(self):
-        A, B = _pair(16)
-        algo = get_parallel("cannon")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both positionally and by keyword"):
-                algo.run(A, B, 16, p=16)
-
-    def test_run_requires_p(self):
-        A, B = _pair(16)
-        with pytest.raises(TypeError, match="missing required argument"):
-            get_parallel("cannon").run(A, B)
