@@ -11,11 +11,11 @@ checker makes that discipline structural:
 
 * **RC403** — inside an ``async def``, a call to a cache-touching method
   (``get_object``, ``put_object``, ``put_arrays``, ``count_build``,
-  ``merge_stats``, ``reset_stats``, ``clear``) on a receiver whose
-  expression mentions a cache must sit lexically inside a ``with`` /
-  ``async with`` block whose context manager mentions a lock.  Blocking
-  helpers like ``single_flight`` own their locking but must not run on
-  the event loop anyway — dispatch them to an executor.
+  ``memoize``, ``merge_stats``, ``reset_stats``, ``clear``) on a receiver
+  whose expression mentions a cache must sit lexically inside a ``with`` /
+  ``async with`` block whose context manager mentions a lock.  ``memoize``
+  owns its locking but blocks on builds, so it belongs in an executor
+  rather than on the event loop.
 
 Active only in modules importing ``asyncio`` — synchronous code paths
 rely on the cache's internal locks and are out of scope.
@@ -40,6 +40,7 @@ CACHE_TOUCHING_METHODS = frozenset(
         "put_object",
         "put_arrays",
         "count_build",
+        "memoize",
         "merge_stats",
         "reset_stats",
         "clear",
@@ -114,7 +115,7 @@ class AsyncCacheLockChecker(Checker):
                     f"{ast.unparse(target)}() outside a lock block",
                     fix_hint=(
                         "wrap the compound cache operation in `async with "
-                        "self._lock:` (or run it in the executor via "
-                        "single_flight) so it cannot interleave at an await"
+                        "self._lock:` (or move the blocking cache work to an "
+                        "executor thread) so it cannot interleave at an await"
                     ),
                 )

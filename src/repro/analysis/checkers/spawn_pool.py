@@ -4,17 +4,19 @@ The engine fans work out with ``multiprocessing.get_context("spawn")``
 pools (grid sweeps, the exact-expansion shard search).  Spawn pickles the
 callable and every argument, and the deterministic-merge contract
 (results identical for every ``jobs`` value) requires the submitted task
-order to be reproducible.  Two checkers, active only in modules that
-import ``multiprocessing`` or ``concurrent.futures``:
+order to be reproducible.  The checkers:
 
 * **RC401** — lambdas, closures (functions defined inside the submitting
-  function), and ``self``-bound methods handed to pool submission
-  methods, or as ``Pool(initializer=...)``, fail to pickle under spawn —
-  usually only on the platform where CI isn't running.
-* **RC402** — ``for``/comprehension iteration directly over a ``set``
-  (display, call, or comprehension) has no deterministic order; when such
-  a loop builds the task list feeding a pool, results become
-  run-to-run unstable.  Sort first (``sorted(...)``).
+  function), and ``self``-bound methods handed to the shared runtime's
+  ``submit_batch`` / ``submit_one`` / ``map_cached`` (in any module), to
+  pool submission methods, or as ``Pool(initializer=...)`` (in modules
+  importing ``multiprocessing`` or ``concurrent.futures``), fail to pickle
+  under spawn — usually only on the platform where CI isn't running.  A
+  ``partial(fn, ...)`` is checked through to ``fn``.
+* **RC402** — in those same modules, ``for``/comprehension iteration
+  directly over a ``set`` (display, call, or comprehension) has no
+  deterministic order; when such a loop builds the task list feeding a
+  pool, results become run-to-run unstable.  Sort first (``sorted(...)``).
 * **RC404** — process-pool construction (``multiprocessing...Pool(...)``,
   ``ProcessPoolExecutor(...)``) anywhere outside the shared persistent
   runtime (:mod:`repro.engine.pool`).  An ad-hoc pool pays cold spawns per
@@ -27,7 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.astutil import imports_module
+from repro.analysis.astutil import call_name, imports_module
 from repro.analysis.base import Checker, Module, register_checker
 from repro.analysis.findings import Finding
 
@@ -45,6 +47,11 @@ POOL_SUBMIT_METHODS = {
     "apply_async",
     "submit",
 }
+
+#: The shared runtime's entry points (:mod:`repro.engine.pool`), called as
+#: plain functions or module attributes in any module: their first
+#: positional argument is pickled to a spawn worker too.
+RUNTIME_SUBMIT_FUNCTIONS = {"submit_batch", "submit_one", "map_cached"}
 
 
 def _is_parallel_module(module: Module) -> bool:
@@ -76,18 +83,18 @@ class SpawnPicklabilityChecker(Checker):
     )
 
     def check_module(self, module: Module) -> Iterable[Finding]:
-        if not _is_parallel_module(module):
-            return
+        parallel = _is_parallel_module(module)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            fn = node.func
-            if isinstance(fn, ast.Attribute) and fn.attr in POOL_SUBMIT_METHODS:
-                if node.args:
-                    yield from self._check_callable(module, node, node.args[0])
-            for kw in node.keywords:
-                if kw.arg == "initializer":
-                    yield from self._check_callable(module, node, kw.value)
+            name = call_name(node.func)
+            pool_method = isinstance(node.func, ast.Attribute) and name in POOL_SUBMIT_METHODS
+            if node.args and (name in RUNTIME_SUBMIT_FUNCTIONS or (parallel and pool_method)):
+                yield from self._check_callable(module, node, node.args[0])
+            if parallel:
+                for kw in node.keywords:
+                    if kw.arg == "initializer":
+                        yield from self._check_callable(module, node, kw.value)
 
     def _check_callable(
         self, module: Module, call: ast.Call, target: ast.expr
@@ -96,7 +103,10 @@ class SpawnPicklabilityChecker(Checker):
             "submit a module-level function (spawn workers re-import the "
             "module; lambdas, closures, and bound methods do not pickle)"
         )
-        if isinstance(target, ast.Lambda):
+        if isinstance(target, ast.Call) and call_name(target.func) == "partial":
+            if target.args:
+                yield from self._check_callable(module, call, target.args[0])
+        elif isinstance(target, ast.Lambda):
             yield self.finding(
                 module,
                 target.lineno,
@@ -182,15 +192,6 @@ _POOL_CONSTRUCTORS = {"Pool", "ProcessPoolExecutor"}
 _POOL_RUNTIME_SUFFIX = "repro/engine/pool.py"
 
 
-def _constructor_name(func: ast.expr) -> str | None:
-    """The terminal name of a call target: ``mp.Pool`` → ``Pool``."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 @register_checker
 class AdHocPoolChecker(Checker):
     """RC404: process pools are constructed only by the shared runtime."""
@@ -215,7 +216,7 @@ class AdHocPoolChecker(Checker):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _constructor_name(node.func)
+            name = call_name(node.func)
             if name in _POOL_CONSTRUCTORS:
                 yield self.finding(
                     module,

@@ -1,9 +1,10 @@
 """Cache-backed constructors for the artifacts the experiments consume.
 
-Each builder checks the decoded-object layer, then the disk layer, and only
-then constructs from scratch (recording a *build* in the cache stats — a
-warm sweep reports zero builds).  Round-trips are bit-identical: the arrays
-are stored exactly as the constructors produced them.
+Each builder is one :meth:`~repro.engine.cache.EngineCache.memoize` call:
+the decoded-object layer, then the disk layer, and only then a construction
+from scratch (recording a *build* in the cache stats — a warm sweep reports
+zero builds).  Round-trips are bit-identical: the arrays are stored exactly
+as the constructors produced them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,30 @@ def _resolve(scheme: BilinearScheme | str) -> BilinearScheme:
     return get_scheme(scheme) if isinstance(scheme, str) else scheme
 
 
+def _encode_cdag(g: CDAG) -> dict[str, np.ndarray]:
+    return {
+        "n_vertices": np.int64(g.n_vertices),
+        "src": g.src,
+        "dst": g.dst,
+        "kinds": g.kinds,
+        "levels": g.levels,
+    }
+
+
+def _decode_cdag(data: dict[str, np.ndarray]) -> CDAG:
+    return CDAG(
+        n_vertices=int(data["n_vertices"]),
+        src=data["src"],
+        dst=data["dst"],
+        kinds=data["kinds"],
+        levels=data["levels"],
+    )
+
+
+#: The named vertex regions an :class:`HGraph` stores beside its CDAG.
+_H_REGIONS = ("a_inputs", "b_inputs", "mult_ids", "output_ids", "dec_ids")
+
+
 def cached_dec_graph(
     scheme: BilinearScheme | str,
     k: int,
@@ -57,33 +82,12 @@ def cached_dec_graph(
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
     key = cache_key("dec", scheme, k=k, expand_trees=expand_trees)
-    g = cache.get_object(key)
-    if g is not None:
-        return g
-    data = cache.get_arrays(key)
-    if data is not None:
-        g = CDAG(
-            n_vertices=int(data["n_vertices"]),
-            src=data["src"],
-            dst=data["dst"],
-            kinds=data["kinds"],
-            levels=data["levels"],
-        )
-    else:
-        cache.count_build()
-        g = dec_graph(scheme, k, expand_trees=expand_trees)
-        cache.put_arrays(
-            key,
-            {
-                "n_vertices": np.int64(g.n_vertices),
-                "src": g.src,
-                "dst": g.dst,
-                "kinds": g.kinds,
-                "levels": g.levels,
-            },
-        )
-    cache.put_object(key, g)
-    return g
+    return cache.memoize(
+        key,
+        lambda: dec_graph(scheme, k, expand_trees=expand_trees),
+        encode=_encode_cdag,
+        decode=_decode_cdag,
+    )
 
 
 def cached_h_graph(
@@ -95,48 +99,20 @@ def cached_h_graph(
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
     key = cache_key("h", scheme, k=k)
-    hg = cache.get_object(key)
-    if hg is not None:
-        return hg
-    data = cache.get_arrays(key)
-    if data is not None:
-        cdag = CDAG(
-            n_vertices=int(data["n_vertices"]),
-            src=data["src"],
-            dst=data["dst"],
-            kinds=data["kinds"],
-            levels=data["levels"],
-        )
-        hg = HGraph(
-            cdag=cdag,
-            a_inputs=data["a_inputs"],
-            b_inputs=data["b_inputs"],
-            mult_ids=data["mult_ids"],
-            output_ids=data["output_ids"],
-            dec_ids=data["dec_ids"],
+    return cache.memoize(
+        key,
+        lambda: h_graph(scheme, k),
+        encode=lambda hg: {
+            **_encode_cdag(hg.cdag),
+            **{name: getattr(hg, name) for name in _H_REGIONS},
+        },
+        decode=lambda data: HGraph(
+            cdag=_decode_cdag(data),
+            **{name: data[name] for name in _H_REGIONS},
             k=k,
             scheme_name=scheme.name,
-        )
-    else:
-        cache.count_build()
-        hg = h_graph(scheme, k)
-        cache.put_arrays(
-            key,
-            {
-                "n_vertices": np.int64(hg.cdag.n_vertices),
-                "src": hg.cdag.src,
-                "dst": hg.cdag.dst,
-                "kinds": hg.cdag.kinds,
-                "levels": hg.cdag.levels,
-                "a_inputs": hg.a_inputs,
-                "b_inputs": hg.b_inputs,
-                "mult_ids": hg.mult_ids,
-                "output_ids": hg.output_ids,
-                "dec_ids": hg.dec_ids,
-            },
-        )
-    cache.put_object(key, hg)
-    return hg
+        ),
+    )
 
 
 def cached_spectrum(
@@ -153,20 +129,12 @@ def cached_spectrum(
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
     key = cache_key("spectrum", scheme, k=k)
-    cached = cache.get_object(key)
-    if cached is not None:
-        return cached
-    data = cache.get_arrays(key)
-    if data is not None:
-        result = (float(data["lower"]), data["fiedler"])
-    else:
-        cache.count_build()
-        g = cached_dec_graph(scheme, k, cache=cache)
-        lower, fiedler = spectral_lower_bound(g)
-        result = (lower, fiedler)
-        cache.put_arrays(key, {"lower": np.float64(lower), "fiedler": fiedler})
-    cache.put_object(key, result)
-    return result
+    return cache.memoize(
+        key,
+        lambda: spectral_lower_bound(cached_dec_graph(scheme, k, cache=cache)),
+        encode=lambda r: {"lower": np.float64(r[0]), "fiedler": r[1]},
+        decode=lambda data: (float(data["lower"]), data["fiedler"]),
+    )
 
 
 def _compute_estimate(
@@ -217,6 +185,35 @@ def _compute_estimate(
     raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
 
 
+def _encode_estimate(est: ExpansionEstimate) -> dict[str, np.ndarray]:
+    iv = est.interval()
+    return {
+        "lower": np.float64(est.lower),
+        "upper": np.float64(est.upper),
+        "witness_size": np.int64(est.witness_size),
+        "witness_boundary": np.int64(est.witness_boundary),
+        "degree": np.int64(est.degree),
+        "method": np.asarray(est.method),
+        # The certified interval (v6 schema): lower differs from the raw
+        # estimate only for cone-only rows (NaN → trivial 0), and the
+        # provenance tag names the proof path, so cache readers get the
+        # certificate without re-deriving it.
+        "interval_lower": np.float64(iv.lower),
+        "provenance": np.asarray(iv.provenance),
+    }
+
+
+def _decode_estimate(data: dict[str, np.ndarray]) -> ExpansionEstimate:
+    return ExpansionEstimate(
+        lower=float(data["lower"]),
+        upper=float(data["upper"]),
+        witness_size=int(data["witness_size"]),
+        witness_boundary=int(data["witness_boundary"]),
+        degree=int(data["degree"]),
+        method=str(data["method"]),
+    )
+
+
 def cached_estimate(
     scheme: BilinearScheme | str,
     k: int,
@@ -255,39 +252,9 @@ def cached_estimate(
         )
     else:
         key = cache_key("estimate", scheme, k=k, policy=policy)
-    est = cache.get_object(key)
-    if est is not None:
-        return est
-    data = cache.get_arrays(key)
-    if data is not None:
-        est = ExpansionEstimate(
-            lower=float(data["lower"]),
-            upper=float(data["upper"]),
-            witness_size=int(data["witness_size"]),
-            witness_boundary=int(data["witness_boundary"]),
-            degree=int(data["degree"]),
-            method=str(data["method"]),
-        )
-    else:
-        cache.count_build()
-        est = _compute_estimate(scheme, k, policy, cache, jobs=jobs)
-        iv = est.interval()
-        cache.put_arrays(
-            key,
-            {
-                "lower": np.float64(est.lower),
-                "upper": np.float64(est.upper),
-                "witness_size": np.int64(est.witness_size),
-                "witness_boundary": np.int64(est.witness_boundary),
-                "degree": np.int64(est.degree),
-                "method": np.asarray(est.method),
-                # The certified interval (v6 schema): lower differs from the
-                # raw estimate only for cone-only rows (NaN → trivial 0), and
-                # the provenance tag names the proof path, so cache readers
-                # get the certificate without re-deriving it.
-                "interval_lower": np.float64(iv.lower),
-                "provenance": np.asarray(iv.provenance),
-            },
-        )
-    cache.put_object(key, est)
-    return est
+    return cache.memoize(
+        key,
+        lambda: _compute_estimate(scheme, k, policy, cache, jobs=jobs),
+        encode=_encode_estimate,
+        decode=_decode_estimate,
+    )

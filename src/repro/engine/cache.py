@@ -25,10 +25,10 @@ process skip both the disk and array re-validation.
 
 Concurrency: every public method is safe to call from multiple threads of
 one process (the serving layer's executor threads share one instance).
-Cross-thread build deduplication is explicit — :meth:`EngineCache.lock`
-hands out one mutex per key and :meth:`EngineCache.single_flight` wraps the
-check/build/store cycle in it, so N concurrent identical requests run the
-build exactly once.  Cross-*process* writers need no locks at all: the
+Every cached artifact goes through :meth:`EngineCache.memoize`, which wraps
+the check/build/store cycle in the per-key mutex from
+:meth:`EngineCache.lock`, so N concurrent identical requests run the build
+exactly once.  Cross-*process* writers need no locks at all: the
 atomic-rename protocol makes concurrent same-key writers idempotent.
 """
 
@@ -313,21 +313,43 @@ class EngineCache:
                 lk = self._key_locks[key] = threading.Lock()
             return lk
 
-    def single_flight(self, key: str, build: Callable[[], Any]) -> Any:
-        """Return the decoded object for ``key``, building at most once.
+    def memoize(
+        self,
+        key: str,
+        build: Callable[[], Any],
+        *,
+        encode: Callable[[Any], dict[str, np.ndarray]] | None = None,
+        decode: Callable[[dict[str, np.ndarray]], Any] | None = None,
+    ) -> Any:
+        """The one cached-build path: memory tier, array tier, then ``build()``.
 
-        Concurrent callers with the same key block on the per-key lock; the
-        first runs ``build()`` and stores the result, the rest re-check the
-        memory tier and hit.  ``build`` must return a non-None object.
+        A counted memory lookup comes first.  On a miss the per-key lock is
+        taken and the memory tier re-checked *without* counting, so threads
+        racing for one key build it once.  With ``encode``/``decode`` the
+        array tier is consulted next (a hit is decoded), and a full miss
+        counts a build, runs ``build()`` and stores ``encode(obj)``; without
+        them the object lives in the memory tier only and no build is
+        counted (serve payloads).  ``build`` must return a non-None object.
         """
         obj = self.get_object(key)
         if obj is not None:
             return obj
         with self.lock(key):
-            obj = self.get_object(key)
+            with self._lock:
+                obj = self._objects.get(key)
             if obj is not None:
                 return obj
-            obj = build()
+            if encode is None:
+                obj = build()
+            else:
+                assert decode is not None
+                data = self.get_arrays(key)
+                if data is not None:
+                    obj = decode(data)
+                else:
+                    self.count_build()
+                    obj = build()
+                    self.put_arrays(key, encode(obj))
             self.put_object(key, obj)
             return obj
 
@@ -394,7 +416,7 @@ class EngineCache:
                 return
 
     def count_build(self) -> None:
-        """Record one full artifact construction (called by the builders)."""
+        """Record one full artifact construction (called by :meth:`memoize`)."""
         with self._lock:
             self.stats.builds += 1
 

@@ -27,7 +27,7 @@ from repro.core.bounds import rect_sequential_io_bound, sequential_io_bound
 from repro.algorithms.io_strassen import dfs_io_model, rect_dfs_io_model
 from repro.engine import pool as pool_runtime
 from repro.engine.builders import cached_dec_graph, cached_estimate
-from repro.engine.cache import CacheStats, EngineCache, default_cache
+from repro.engine.cache import EngineCache, default_cache
 from repro.util.jsonutil import jsonable
 
 __all__ = ["GridPoint", "GridSpec", "GridReport", "evaluate_point", "run_grid"]
@@ -177,26 +177,6 @@ def evaluate_point(point: GridPoint, cache: EngineCache | None = None) -> dict:
     return row
 
 
-# ---------------------------------------------------------------------- #
-# worker plumbing (shared persistent pool; see repro.engine.pool)         #
-# ---------------------------------------------------------------------- #
-
-
-def _pool_point_task(msg: tuple[str, int, int, str, str | None]) -> tuple[dict, dict]:
-    """Evaluate one point on a pool worker; returns (row, stat increments).
-
-    The per-task context message replaces the old per-pool ``initializer=``
-    plumbing: the cache root rides along with every point, and
-    :func:`~repro.engine.pool.worker_cache` memoizes the per-process
-    :class:`EngineCache` it names — warm across batches and sweeps.
-    """
-    scheme, k, M, policy, root = msg
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats.as_dict()
-    row = evaluate_point(GridPoint(scheme, k, M, policy), cache=cache)
-    return row, cache.stats.delta_since(before)
-
-
 def run_grid(
     spec: GridSpec,
     workers: int | None = None,
@@ -216,29 +196,12 @@ def run_grid(
     cache = cache if cache is not None else default_cache()
     points = spec.points()
     start = time.perf_counter()
-    stats = CacheStats()
-    rows: list[dict] = []
     n_workers = max(1, min(workers if workers is not None else 1, len(points)))
-    if n_workers <= 1:
-        for point in points:
-            before = cache.stats.as_dict()
-            rows.append(evaluate_point(point, cache=cache))
-            delta = cache.stats.delta_since(before)
-            for name, inc in delta.items():
-                setattr(stats, name, getattr(stats, name) + inc)
-    else:
-        root = str(cache.root) if cache.disk_enabled else None
-        msgs = [(p.scheme, p.k, p.M, p.policy, root) for p in points]
-        for row, delta in pool_runtime.submit_batch(
-            _pool_point_task, msgs, workers=n_workers
-        ):
-            rows.append(row)
-            for name, inc in delta.items():
-                setattr(stats, name, getattr(stats, name) + inc)
+    rows, stats = pool_runtime.map_cached(evaluate_point, points, cache, n_workers)
     return GridReport(
         spec=spec,
         rows=rows,
-        stats=stats.as_dict(),
+        stats=stats,
         wall_time=time.perf_counter() - start,
         workers=n_workers,
     )

@@ -28,6 +28,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from repro.cdag.schemes import get_scheme
 from repro.core.bounds import scaling_regime
 from repro.engine.cache import EngineCache, cache_key, default_cache
+from repro.engine.pool import map_cached
 from repro.parallel.base import ParallelConfig, available_parallel, get_parallel
 from repro.topology import Topology
 from repro.util.jsonutil import jsonable
@@ -211,28 +213,19 @@ def plan(
         cs=tuple(cs),
         algos=tuple(algos) if algos is not None else None,
     )
-    cached = cache.get_object(key)
-    if cached is None:
-        data = cache.get_arrays(key)
-        if data is not None:
-            cached = json.loads(str(data["rows"]))
-        else:
-            cache.count_build()
-            plans, searched = enumerate_plans(
-                n,
-                scheme,
-                topology,
-                memory_limit,
-                p_max=p_max,
-                cs=cs,
-                algos=algos,
-            )
-            cached = {"rows": [pl.as_dict() for pl in plans], "searched": searched}
-            cache.put_arrays(
-                key,
-                {"rows": np.asarray(json.dumps(jsonable(cached), allow_nan=False))},
-            )
-        cache.put_object(key, cached)
+
+    def build() -> dict:
+        plans, searched = enumerate_plans(
+            n, scheme, topology, memory_limit, p_max=p_max, cs=cs, algos=algos
+        )
+        return {"rows": [pl.as_dict() for pl in plans], "searched": searched}
+
+    cached = cache.memoize(
+        key,
+        build,
+        encode=lambda table: {"rows": np.asarray(json.dumps(jsonable(table), allow_nan=False))},
+        decode=lambda data: json.loads(str(data["rows"])),
+    )
     return [Plan.from_dict(row) for row in cached["rows"]]
 
 
@@ -261,20 +254,15 @@ def plan_report(
         p_cap = p_max if p_max is not None else (cap if cap is not None else DEFAULT_P_MAX)
         memory_limits = default_memory_ladder(n, p_cap)
     start = time.perf_counter()
-    before = cache.stats.as_dict()
+    ranked_tables, stats = map_cached(
+        partial(plan, n, scheme, topology, p_max=p_max, cs=cs, algos=algos),
+        memory_limits,
+        cache,
+        1,
+    )
     tables = []
     winners: dict[str, str | None] = {}
-    for limit in memory_limits:
-        ranked = plan(
-            n,
-            scheme,
-            topology,
-            limit,
-            p_max=p_max,
-            cs=cs,
-            algos=algos,
-            cache=cache,
-        )
+    for limit, ranked in zip(memory_limits, ranked_tables):
         label = "unlimited" if limit is None else str(limit)
         winners[label] = ranked[0].algorithm if ranked else None
         tables.append(
@@ -297,7 +285,7 @@ def plan_report(
             "tables": tables,
             "winners": winners,
             "flips": len({w for w in winners.values() if w is not None}) > 1,
-            "stats": cache.stats.delta_since(before),
+            "stats": stats,
             "wall_time": time.perf_counter() - start,
         }
     )

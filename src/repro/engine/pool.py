@@ -9,19 +9,21 @@ the sharded scan it parallelizes.  This module keeps **one warm pool per
 process** and ships work to it as lightweight per-task context messages
 instead of per-pool ``initializer=`` plumbing:
 
-* grid points ship ``(scheme, k, M, policy, cache_root)`` tuples;
+* cached work — grid points, scaling points, serve jobs — ships as
+  ``(fn, item, cache_root)`` through :func:`map_cached` / :func:`cached_task`:
+  the worker runs ``fn(item, cache=...)`` against its memoized
+  :func:`worker_cache` for that root and returns the result together with
+  its cache-counter delta;
 * exact scans ship a shared-memory handle whose :class:`_ScanCtx` tables a
   worker installs once per graph (:func:`worker_ctx`) and reuses across
-  all of that graph's prefix spans;
-* serve builds ship namespaced ``(kind, params, root)`` jobs.
+  all of that graph's prefix spans.
 
 Transport is a duplex pipe per worker carrying pickle **protocol 5**
-frames with out-of-band buffers: large contiguous arrays (packed uint64
-adjacency rows, grid artifacts) are sent as raw buffers after the pickle
-payload, never copied through the pickle stream itself.  For data a worker
-re-reads across many tasks (the exact scan's adjacency rows and its
-cross-shard running minimum) the call sites use
-``multiprocessing.shared_memory`` segments instead — see
+frames with out-of-band buffers: contiguous arrays in a task or result are
+sent as raw buffers after the pickle payload, never copied through the
+pickle stream itself.  For data a worker re-reads across many tasks (the
+exact scan's adjacency rows and its cross-shard running minimum) the call
+sites use ``multiprocessing.shared_memory`` segments instead — see
 :func:`create_shm` / :func:`attach_shm` / :class:`SharedMinimum`.
 
 Submission is adaptively chunked: :func:`submit_batch` splits the task
@@ -84,8 +86,10 @@ __all__ = [
     "PoolStats",
     "SharedMinimum",
     "attach_shm",
+    "cached_task",
     "create_shm",
     "in_worker",
+    "map_cached",
     "max_pool_workers",
     "pool_enabled",
     "pool_info",
@@ -598,6 +602,56 @@ def submit_one(fn: Callable[[Any], Any], task: Any) -> Any:
             _STATS.serial_tasks += 1
         return fn(task)
     return _run_pooled(fn, [task], [[task]], 1)[0]
+
+
+def cached_task(
+    msg: tuple[Callable[..., Any], Any, str | None],
+) -> tuple[Any, dict[str, int]]:
+    """The pool entry for cached work: ``(fn(item, cache=...), counter delta)``.
+
+    ``msg`` is ``(fn, item, root)``: a module-level callable (or a
+    ``functools.partial`` of one), one work item, and the parent cache's
+    disk root (``None``: memory-only).  ``fn`` runs against this process's
+    :func:`worker_cache` for ``root``; the delta covers exactly this task,
+    so the parent can merge it however tasks interleave across workers.
+    """
+    fn, item, root = msg
+    cache = worker_cache(root)
+    before = cache.stats_snapshot()
+    result = fn(item, cache=cache)
+    return result, cache.stats.delta_since(before)
+
+
+def map_cached(
+    fn: Callable[..., Any],
+    items: Sequence[Any],
+    cache: "EngineCache",
+    workers: int,
+) -> tuple[list[Any], dict[str, int]]:
+    """``[fn(item, cache=...) for item in items]`` plus the cache-counter delta.
+
+    At width 1 (after clamping to the item count) the items run serially
+    against ``cache`` itself.  Wider maps go through :func:`submit_batch`
+    to :func:`cached_task` (``fn`` must pickle, checker RC401): workers use
+    private caches over ``cache``'s disk root, and their per-task deltas
+    are summed.  Results come back in item order either way.
+    """
+    from repro.engine.cache import CacheStats
+
+    items = list(items)
+    if min(workers, len(items)) <= 1:
+        before = cache.stats_snapshot()
+        results = [fn(item, cache=cache) for item in items]
+        return results, cache.stats.delta_since(before)
+    root = str(cache.root) if cache.disk_enabled else None
+    totals = CacheStats()
+    results = []
+    for result, delta in submit_batch(
+        cached_task, [(fn, item, root) for item in items], workers=workers
+    ):
+        results.append(result)
+        totals.merge(delta)
+    return results, totals.as_dict()
 
 
 atexit.register(shutdown_pool)

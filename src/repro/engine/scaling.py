@@ -34,6 +34,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -223,6 +224,24 @@ def _ab_time(measured: dict, topology: Topology) -> float:
     return topology.time_from_steps(measured["step_msgs"], measured["step_words"])
 
 
+def _encode_measured(measured: dict) -> dict[str, np.ndarray]:
+    return {
+        **{name: np.int64(measured[name]) for name in _MEASURED_INTS},
+        "step_words": measured["step_words"],
+        "step_msgs": measured["step_msgs"],
+        "label": np.asarray(measured["label"]),
+    }
+
+
+def _decode_measured(data: dict[str, np.ndarray]) -> dict:
+    return {
+        **{name: int(data[name]) for name in _MEASURED_INTS},
+        "step_words": data["step_words"],
+        "step_msgs": data["step_msgs"],
+        "label": str(data["label"]),
+    }
+
+
 def _cached_measure(point: ScalingPoint, cache: EngineCache) -> dict:
     algo = get_parallel(point.algo)
     sch = get_scheme(point.scheme) if algo.uses_scheme else None
@@ -237,29 +256,9 @@ def _cached_measure(point: ScalingPoint, cache: EngineCache) -> dict:
         memory_limit=point.memory_limit,
         seed=point.seed,
     )
-    measured = cache.get_object(key)
-    if measured is not None:
-        return measured
-    data = cache.get_arrays(key)
-    if data is not None:
-        measured = {name: int(data[name]) for name in _MEASURED_INTS}
-        measured["step_words"] = data["step_words"]
-        measured["step_msgs"] = data["step_msgs"]
-        measured["label"] = str(data["label"])
-    else:
-        cache.count_build()
-        measured = _measure(point)
-        cache.put_arrays(
-            key,
-            {
-                **{name: np.int64(measured[name]) for name in _MEASURED_INTS},
-                "step_words": measured["step_words"],
-                "step_msgs": measured["step_msgs"],
-                "label": np.asarray(measured["label"]),
-            },
-        )
-    cache.put_object(key, measured)
-    return measured
+    return cache.memoize(
+        key, lambda: _measure(point), encode=_encode_measured, decode=_decode_measured
+    )
 
 
 def evaluate_scaling_point(
@@ -322,20 +321,6 @@ def evaluate_scaling_point(
     return row
 
 
-def _pool_scaling_task(msg: "tuple[ScalingPoint, str | None, Topology]") -> tuple[dict, dict]:
-    """Evaluate one scaling point on a pool worker: (row, stat increments).
-
-    The per-task context message ships the point, the disk root, and the
-    (picklable) topology; :func:`~repro.engine.pool.worker_cache` memoizes
-    the per-process cache, so a sweep's points share warm state per worker.
-    """
-    point, root, topology = msg
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats.as_dict()
-    row = evaluate_scaling_point(point, cache=cache, topology=topology)
-    return row, cache.stats.delta_since(before)
-
-
 def scaling_sweep(
     spec: ScalingSpec,
     cache: EngineCache | None = None,
@@ -354,25 +339,12 @@ def scaling_sweep(
     start = time.perf_counter()
     topology = spec.machine_topology()
     points = spec.points()
-    n_workers = max(1, min(workers if workers is not None else 1, len(points) or 1))
-    if n_workers <= 1:
-        before = cache.stats.as_dict()
-        rows = [
-            evaluate_scaling_point(pt, cache=cache, topology=topology) for pt in points
-        ]
-        stats = cache.stats.delta_since(before)
-    else:
-        root = str(cache.root) if cache.disk_enabled else None
-        msgs = [(pt, root, topology) for pt in points]
-        rows = []
-        totals: dict[str, int] = {}
-        for row, delta in pool_runtime.submit_batch(
-            _pool_scaling_task, msgs, workers=n_workers
-        ):
-            rows.append(row)
-            for name, inc in delta.items():
-                totals[name] = totals.get(name, 0) + inc
-        stats = totals
+    rows, stats = pool_runtime.map_cached(
+        partial(evaluate_scaling_point, topology=topology),
+        points,
+        cache,
+        workers if workers is not None else 1,
+    )
     return ScalingReport(
         spec=spec,
         rows=rows,

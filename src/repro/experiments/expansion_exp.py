@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.cdag.schemes import get_scheme
 from repro.core.exact import effective_exact_limit
+from repro.core.expansion import decode_cone_mask, expansion_of_cut
 from repro.engine.builders import cached_dec_graph, cached_estimate
-from repro.engine.cache import EngineCache
+from repro.engine.cache import EngineCache, cache_key, default_cache
 from repro.util.numutil import fit_power_law
 
 __all__ = ["expansion_decay", "small_set_profile"]
@@ -96,31 +99,20 @@ def small_set_profile(
     profile is a deterministic artifact of (scheme, k), so it is cached like
     the graphs and spectra it derives from.
     """
-    from repro.core.expansion import decode_cone_mask, expansion_of_cut
-    from repro.engine.cache import cache_key, default_cache
-
     s = get_scheme(scheme)
     ratio = s.c_blocks / s.t0
     cache = cache if cache is not None else default_cache()
-    key = cache_key("small_set_profile", s, k=k)
-    result = cache.get_object(key)
-    if result is not None:
-        return result
-    data = cache.get_arrays(key)
-    if data is not None:
-        branch = int(data["branch"])
-        rows = [
-            {
-                "cone_depth": int(depth),
-                "set_size": int(size),
-                "h_of_cut": float(h),
-                "(c0/t0)^depth": ratio ** int(depth),
-                "ratio": float(h) / ratio ** int(depth),
-            }
-            for depth, size, h in zip(data["depths"], data["sizes"], data["hs"])
-        ]
-    else:
-        cache.count_build()
+
+    def row(depth: int, size: int, h: float) -> dict:
+        return {
+            "cone_depth": depth,
+            "set_size": size,
+            "h_of_cut": h,
+            "(c0/t0)^depth": ratio**depth,
+            "ratio": h / ratio**depth,
+        }
+
+    def build() -> dict:
         g = cached_dec_graph(s, k, cache=cache)
         # pick the branch whose W column is sparsest (cheapest cone boundary)
         col_nnz = (s.W != 0).sum(axis=0)
@@ -131,27 +123,25 @@ def small_set_profile(
             size = int(mask.sum())
             if size > g.n_vertices // 2 or size == 0:
                 continue
-            h = expansion_of_cut(g, mask)
-            rows.append(
-                {
-                    "cone_depth": depth,
-                    "set_size": size,
-                    "h_of_cut": h,
-                    "(c0/t0)^depth": ratio**depth,
-                    "ratio": h / ratio**depth,
-                }
-            )
-        import numpy as np
+            rows.append(row(depth, size, expansion_of_cut(g, mask)))
+        return {"rows": rows, "scheme": scheme, "k": k, "branch": branch}
 
-        cache.put_arrays(
-            key,
-            {
-                "branch": np.int64(branch),
-                "depths": np.array([r["cone_depth"] for r in rows], dtype=np.int64),
-                "sizes": np.array([r["set_size"] for r in rows], dtype=np.int64),
-                "hs": np.array([r["h_of_cut"] for r in rows], dtype=np.float64),
-            },
-        )
-    result = {"rows": rows, "scheme": scheme, "k": k, "branch": branch}
-    cache.put_object(key, result)
-    return result
+    def encode(result: dict) -> dict:
+        rows = result["rows"]
+        return {
+            "branch": np.int64(result["branch"]),
+            "depths": np.array([r["cone_depth"] for r in rows], dtype=np.int64),
+            "sizes": np.array([r["set_size"] for r in rows], dtype=np.int64),
+            "hs": np.array([r["h_of_cut"] for r in rows], dtype=np.float64),
+        }
+
+    def decode(data: dict) -> dict:
+        rows = [
+            row(int(depth), int(size), float(h))
+            for depth, size, h in zip(data["depths"], data["sizes"], data["hs"])
+        ]
+        return {"rows": rows, "scheme": scheme, "k": k, "branch": int(data["branch"])}
+
+    return cache.memoize(
+        cache_key("small_set_profile", s, k=k), build, encode=encode, decode=decode
+    )

@@ -7,11 +7,10 @@ single-flight deduplication work: two clients asking for
 ``?k=4&scheme=strassen`` and ``?scheme=strassen&k=4`` produce the same
 :meth:`Job.key`, so the second request rides the first one's build.
 
-Execution comes in two shapes, mirroring :mod:`repro.engine.grid`'s worker
-plumbing: :func:`run_job_inline` runs in the serving process (thread
-executor) against the shared cache, and :func:`run_job_pooled` ships the
-job as a namespaced ``(kind, params, root)`` message to the shared
-persistent worker pool (:mod:`repro.engine.pool`), where it runs against
+Execution comes in two shapes: :func:`run_job_inline` runs in the serving
+process (thread executor) against the shared cache, and
+:func:`run_job_pooled` ships the same call to the shared persistent worker
+pool through :func:`repro.engine.pool.cached_task`, where it runs against
 a per-worker cache over the same disk root and returns the payload
 together with the worker's cache-counter delta so the parent can
 :meth:`~repro.engine.cache.EngineCache.merge_stats`.
@@ -208,7 +207,7 @@ def parse_job(kind: str, raw: dict[str, str]) -> Job:
 
 
 # ---------------------------------------------------------------------- #
-# payload builders (module-level: spawn workers must pickle the entry)     #
+# payload builders                                                       #
 # ---------------------------------------------------------------------- #
 
 
@@ -342,45 +341,17 @@ def build_payload(job: Job, cache: EngineCache) -> dict[str, Any]:
 
 def run_job_inline(job: Job, cache: EngineCache) -> dict[str, Any]:
     """Thread-executor path: single-flight build against the shared cache."""
-    payload = cache.single_flight(job.key(), lambda: build_payload(job, cache))
-    assert isinstance(payload, dict)
-    return payload
-
-
-# ---------------------------------------------------------------------- #
-# shared-pool plumbing (the grid runner's idiom, on repro.engine.pool)     #
-# ---------------------------------------------------------------------- #
-
-
-def _pool_job_task(
-    msg: tuple[str, tuple[tuple[str, Any], ...], str | None],
-) -> tuple[dict[str, Any], dict[str, int]]:
-    """Pool-worker entry point: ``(payload, cache-counter delta)``.
-
-    The namespaced message carries the job's canonical form plus the disk
-    root; :func:`~repro.engine.pool.worker_cache` memoizes the per-process
-    cache (shared disk root, private memory tiers and counters).  The
-    delta covers exactly this job (counters snapshotted around the build),
-    so the parent can merge per-job increments regardless of how jobs
-    interleave across the pool.
-    """
-    kind, params, root = msg
-    job = Job(kind=kind, params=params)
-    cache = pool_runtime.worker_cache(root)
-    before = cache.stats_snapshot()
-    payload = cache.single_flight(job.key(), lambda: build_payload(job, cache))
-    assert isinstance(payload, dict)
-    return payload, cache.stats.delta_since(before)
+    return cache.memoize(job.key(), lambda: build_payload(job, cache))
 
 
 def run_job_pooled(job: Job, root: str | None) -> tuple[dict[str, Any], dict[str, int]]:
     """Ship one job to the shared persistent pool (``workers > 0`` mode).
 
-    Blocking — the service calls it from executor threads, each of which
-    checks out its own pool worker, so distinct jobs overlap across
-    processes.  Under ``REPRO_POOL=0`` or serial fallback the job runs
-    inline with identical semantics (the payload/delta contract holds).
+    The worker runs :func:`run_job_inline` against its own cache over
+    ``root`` and returns ``(payload, cache-counter delta)``.  Blocking —
+    the service calls it from executor threads, each of which checks out
+    its own pool worker, so distinct jobs overlap across processes.  Under
+    ``REPRO_POOL=0`` or serial fallback the job runs inline with identical
+    semantics (the payload/delta contract holds).
     """
-    payload, delta = pool_runtime.submit_one(_pool_job_task, (job.kind, job.params, root))
-    assert isinstance(payload, dict)
-    return payload, delta
+    return pool_runtime.submit_one(pool_runtime.cached_task, (run_job_inline, job, root))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ class TestSingleFlightThreads:
             if i == 0:
                 # let the pack pile up behind the leader's per-key lock
                 threading.Timer(0.05, build_gate.set).start()
-            results[i] = cache.single_flight("key", build)
+            results[i] = cache.memoize("key", build)
 
         threads = [threading.Thread(target=racer, args=(i,)) for i in range(n_threads)]
         for t in threads:
@@ -175,10 +176,39 @@ class TestSingleFlightThreads:
 
     def test_single_flight_counts_followers_as_hits(self):
         cache = EngineCache(disk=False)
-        first = cache.single_flight("k", lambda: {"v": 1})
-        second = cache.single_flight("k", lambda: pytest.fail("must not rebuild"))
+        first = cache.memoize("k", lambda: {"v": 1})
+        second = cache.memoize("k", lambda: pytest.fail("must not rebuild"))
         assert first == second
         assert cache.stats.hits >= 1
+
+    def test_racing_builders_build_one_graph(self, tmp_path, monkeypatch):
+        """Two threads asking cached_dec_graph for one key build it once."""
+        from repro.cdag.strassen_cdag import dec_graph
+        from repro.engine import builders
+
+        started = threading.Event()
+
+        def slow_dec_graph(*args, **kwargs):
+            started.set()
+            time.sleep(0.2)  # long enough for the second thread to arrive
+            return dec_graph(*args, **kwargs)
+
+        monkeypatch.setattr(builders, "dec_graph", slow_dec_graph)
+        cache = EngineCache(tmp_path / "c")
+        results = [None, None]
+
+        def racer(i):
+            if i == 1:
+                started.wait(timeout=5)  # the leader is mid-build
+            results[i] = builders.cached_dec_graph("strassen", 2, cache=cache)
+
+        threads = [threading.Thread(target=racer, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert cache.stats.builds == 1
+        assert results[0] is results[1]
 
     def test_distinct_keys_have_distinct_locks(self):
         cache = EngineCache(disk=False)

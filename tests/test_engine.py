@@ -186,6 +186,41 @@ class TestStatsReset:
             "evictions": 0,
         }
 
+    def test_memoize_accounting_cold_memory_and_disk(self, cache, tmp_path):
+        """Exact counters of EngineCache.memoize on its three paths.
+
+        Cold, ``cached_estimate`` builds the estimate, the spectrum and the
+        graph (the spectrum's graph lookup is the one memory hit); warm in
+        memory it is one hit; warm on disk only (a fresh instance over the
+        same root) it is one memory miss plus one array hit, with no build.
+        """
+
+        def counts(c: EngineCache) -> dict[str, int]:
+            got = c.reset_stats()
+            assert got.pop("disk_errors") == 0 and got.pop("evictions") == 0
+            return got
+
+        cached_estimate("strassen", 2, cache=cache)
+        assert counts(cache) == {"hits": 1, "misses": 6, "stores": 3, "builds": 3}
+        cached_estimate("strassen", 2, cache=cache)
+        assert counts(cache) == {"hits": 1, "misses": 0, "stores": 0, "builds": 0}
+        disk_only = EngineCache(tmp_path / "cache")
+        cached_estimate("strassen", 2, cache=disk_only)
+        assert counts(disk_only) == {"hits": 1, "misses": 1, "stores": 0, "builds": 0}
+
+    def test_memory_only_memoize_counts_no_build(self):
+        cache = EngineCache(disk=False)
+        cache.memoize("k", lambda: {"v": 1})
+        cache.memoize("k", lambda: pytest.fail("must not rebuild"))
+        assert cache.stats.as_dict() == {
+            "hits": 1,
+            "misses": 1,
+            "stores": 0,
+            "builds": 0,
+            "disk_errors": 0,
+            "evictions": 0,
+        }
+
 
 class TestEstimatePolicies:
     def test_exact_policy_matches_enumeration(self, cache):

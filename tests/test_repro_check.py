@@ -457,6 +457,49 @@ class TestSpawnPool:
         )
         assert codes(report) == []
 
+    def test_runtime_submissions_are_checked_in_any_module(self, tmp_path):
+        # no multiprocessing import: the shared runtime's entry points are
+        # what the repo actually calls, and they pickle their callable too
+        report = check_snippet(
+            tmp_path,
+            """
+            from repro.engine import pool as pool_runtime
+            from repro.engine.pool import submit_one
+
+            def run(tasks):
+                def work(t):
+                    return t * 2
+
+                pool_runtime.submit_batch(lambda t: t, tasks, workers=2)
+                return submit_one(work, tasks[0])
+            """,
+            select=["spawn-pool"],
+        )
+        assert codes(report) == ["RC401", "RC401"]
+        messages = sorted(f.message for f in report.findings)
+        assert "closure" in messages[0] and "lambda" in messages[1]
+
+    def test_map_cached_partial_is_checked_through(self, tmp_path):
+        report = check_snippet(
+            tmp_path,
+            """
+            from functools import partial
+
+            from repro.engine.pool import map_cached
+
+            def evaluate(item, cache, scale):
+                return item * scale
+
+            def run(items, cache):
+                ok, _ = map_cached(partial(evaluate, scale=2), items, cache, 2)
+                bad, _ = map_cached(partial(lambda i, cache: i), items, cache, 2)
+                return ok + bad
+            """,
+            select=["spawn-pool"],
+        )
+        assert codes(report) == ["RC401"]
+        assert report.findings[0].line == 11
+
     def test_set_iteration_in_parallel_module(self, tmp_path):
         report = check_snippet(
             tmp_path,
@@ -675,10 +718,14 @@ class TestAsyncCacheLock:
                     if cached is None:
                         self.cache.put_object(key, {"v": 1})
                     return cached
+
+                async def build(self, key):
+                    return self.cache.memoize(key, lambda: {"v": 1})
             """,
             select=["async-cache-lock"],
         )
-        assert sorted(codes(report)) == ["RC403", "RC403"]
+        assert sorted(codes(report)) == ["RC403", "RC403", "RC403"]
+        assert any("memoize" in f.message for f in report.findings)
 
     def test_locked_cache_call_is_clean(self, tmp_path):
         report = check_snippet(
@@ -693,6 +740,10 @@ class TestAsyncCacheLock:
                         if cached is None:
                             self.cache.put_object(key, {"v": 1})
                     return cached
+
+                async def build(self, key):
+                    with self.cache.lock(key):
+                        return self.cache.memoize(key, lambda: {"v": 1})
             """,
             select=["async-cache-lock"],
         )
