@@ -3,7 +3,8 @@
 
 Boots the real CLI entry point as a subprocess on a free port, fires a
 concurrent request mix (an identical-``/expansion`` wave to exercise
-single-flight, plus ``/bounds``, ``/sweep`` and ``/healthz``), and checks
+single-flight, an ``/expansion`` on a graph with h = 0, plus ``/bounds``,
+``/sweep`` and ``/healthz``), and checks
 every response plus the ``/cache/info`` counters.  Exits non-zero on any
 failure; prints one summary line on success.
 
@@ -59,6 +60,8 @@ async def hammer(port: int) -> dict:
     mix += [
         "/bounds?n=4096&M=256&p=64",
         "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48",
+        # h = 0 graph: its zero-boundary witness certifies the interval [0, 0]
+        "/expansion?scheme=classical2&k=3",
         expansion,
         "/healthz",
     ]

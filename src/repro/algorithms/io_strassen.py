@@ -13,13 +13,17 @@ classical2 (3) all run through identical code.
 
 Two engines with *identical accounting*:
 
-* :func:`dfs_io` — the full simulation against
+* :func:`dfs_io` — the reference simulation against
   :class:`~repro.machine.cache.FastMemory` (every region load/store/free
-  really happens, capacity enforced);
-* :func:`dfs_io_model` — a memoized recurrence producing bit-identical
-  counts (the recursion is uniform, so sibling subtrees cost the same);
-  used for deep sweeps where m₀^t simulation nodes would be prohibitive.
-  The test suite pins model == simulation across the overlapping range.
+  really happens, capacity enforced), for one scheme or a per-level list;
+* :func:`_dfs_counts` — one recurrence over a shape ``(m, n, p)`` and a
+  per-level scheme list.  The recursion is uniform (every subproblem of a
+  level has the same shape), so it runs in O(depth) and lets the
+  experiments sweep to sizes where the tree has billions of nodes.  The
+  square model :func:`dfs_io_model`, the rectangular model
+  :func:`rect_dfs_io_model` and
+  :func:`~repro.algorithms.nonstationary.nonstationary_io` are calls to it.
+  The test suite pins recurrence == simulation across the overlapping range.
 
 The ``base`` parameter exposes the recursion-cutoff ablation: the canonical
 choice is the largest ``s ≤ √(M/3)`` reachable from n, and cutting deeper
@@ -28,8 +32,11 @@ only adds streaming levels (E1's ablation quantifies the penalty).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
+
+import numpy as np
 
 from repro.cdag.schemes import BilinearScheme, get_scheme
 from repro.machine.cache import FastMemory
@@ -73,13 +80,13 @@ class StrassenIOReport:
 
 
 def _nnz_rows(mat) -> list[int]:
-    return [int((row != 0).sum()) for row in mat]
+    return np.count_nonzero(mat, axis=1).tolist()
 
 
 def _stream_counts(size_words: int, n_reads: int, free_words: int) -> tuple[int, int, int, int]:
     """(words_read, msgs_read, words_written, msgs_written) of one stream —
-    mirrors FastMemory.stream with chunk = free // (n_reads + 1).  Shared by
-    the square and rectangular I/O models so their accounting cannot drift.
+    mirrors FastMemory.stream with chunk = free // (n_reads + 1).  Called
+    only by :func:`_dfs_counts`, the one I/O recurrence.
     """
     chunk = max(free_words // (n_reads + 1), 1)
     full, rem = divmod(size_words, chunk)
@@ -121,17 +128,75 @@ def _check_base(n: int, M: int, n0: int, base: int | None) -> int:
         raise ValueError(f"base {base} does not fit: 3·{base}² > M={M}")
     # base must be reachable from n by repeated division by n0
     size = n
-    while size > base and size % n0 == 0:
+    while n0 > 1 and size > base and size % n0 == 0:
         size //= n0
     if size != base:
         raise ValueError(f"base {base} not reachable from n={n} by /{n0}")
     return base
 
 
+class _NoBaseCase(ValueError):
+    """:func:`_dfs_counts` found no base case: ``shape`` at recursion
+    ``level`` does not fit, and the level list either ran out
+    (``level == len(levels)``) or its scheme does not divide ``shape``."""
+
+    def __init__(self, shape: tuple[int, int, int], level: int):
+        super().__init__(f"no base case for shape {shape} at level {level}")
+        self.shape = shape
+        self.level = level
+
+
+def _dfs_counts(
+    shape: tuple[int, int, int],
+    levels: Sequence[BilinearScheme],
+    M: int,
+    base: int | None = None,
+) -> tuple[IOCounter, int, tuple[int, int, int]]:
+    """Exact depth-first I/O of one recursion: ``(counter, base multiplies,
+    base shape)``.
+
+    ``levels[i]`` is the scheme applied at recursion level ``i``, outermost
+    first.  The recursion stops at the first shape whose three blocks fit in
+    M (``mn + np + mp ≤ M``) or, given an explicit square ``base``, at the
+    first size ``≤ base``.  A base case reads A and B and writes C; above
+    it every linear form of the level streams through
+    :func:`_stream_counts` against an empty fast memory.  All subproblems
+    of one level share a shape, so the totals follow bottom-up:
+    ``IO(level) = t₀·IO(level + 1) + streams(level)``.  Raises
+    :class:`_NoBaseCase` when no base case is reachable.
+    """
+    shapes = [shape]
+    while True:
+        m, n, p = shapes[-1]
+        if (m * n + n * p + m * p <= M) if base is None else (max(m, n, p) <= base):
+            break
+        level = len(shapes) - 1
+        if level == len(levels):
+            raise _NoBaseCase(shapes[-1], level)
+        s = levels[level]
+        if m % s.m0 or n % s.n0 or p % s.p0:
+            raise _NoBaseCase(shapes[-1], level)
+        shapes.append((m // s.m0, n // s.n0, p // s.p0))
+    m, n, p = shapes[-1]
+    wr, mr, ww, mw, mults = m * n + n * p, 2, m * p, 1, 1
+    for level in reversed(range(len(shapes) - 1)):
+        s = levels[level]
+        m, n, p = shapes[level + 1]
+        wr, mr, ww, mw, mults = (s.t0 * x for x in (wr, mr, ww, mw, mults))
+        for mat, words in ((s.U, m * n), (s.V, n * p), (s.W, m * p)):
+            for n_reads in _nnz_rows(mat):
+                a, b, c, d = _stream_counts(words, n_reads, M)
+                wr, mr, ww, mw = wr + a, mr + b, ww + c, mw + d
+    counter = IOCounter(
+        words_read=wr, words_written=ww, messages_read=mr, messages_written=mw
+    )
+    return counter, mults, shapes[-1]
+
+
 def dfs_io(
     n: int,
     M: int,
-    scheme: BilinearScheme | str = "strassen",
+    scheme: BilinearScheme | str | Sequence[BilinearScheme | str] = "strassen",
     base: int | None = None,
 ) -> StrassenIOReport:
     """Depth-first Strassen-like multiplication against a FastMemory machine.
@@ -140,34 +205,51 @@ def dfs_io(
     slow memory and reads the m₀ products back for decoding; the base case
     holds 3 blocks resident.  Raises ``ValueError`` when n is not a power
     of n₀ times a feasible base (no silent padding).
+
+    ``scheme`` may also be a per-level list, outermost first (the §5.2
+    non-stationary class); the recursion then stops at the first size whose
+    three blocks fit, and ``base`` must be ``None``.  This is the reference
+    the recurrence behind
+    :func:`~repro.algorithms.nonstationary.nonstationary_io` is tested
+    against.
     """
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
-    if not scheme.is_square:
-        raise ValueError(
-            "dfs_io runs the square recursion; use rect_dfs_io_model for "
-            f"rectangular scheme {scheme.name!r}"
-        )
-    base = _check_base(n, M, scheme.n0, base)
+    uniform = isinstance(scheme, (str, BilinearScheme))
+    levels = [
+        get_scheme(s) if isinstance(s, str) else s
+        for s in ([scheme] if uniform else scheme)
+    ]
+    for s in levels:
+        if not s.is_square:
+            raise ValueError(
+                "dfs_io runs the square recursion; use rect_dfs_io_model for "
+                f"rectangular scheme {s.name!r}"
+            )
+    if uniform:
+        base = _check_base(n, M, levels[0].n0, base)
+        levels *= n.bit_length()  # more levels than any reachable base needs
+    elif base is not None:
+        raise ValueError("base applies to a single scheme, not a per-level list")
     fm = FastMemory(M)
-    u_nnz = _nnz_rows(scheme.U)
-    v_nnz = _nnz_rows(scheme.V)
-    w_nnz = _nnz_rows(scheme.W)
-    n_base = _dfs(fm, n, scheme, base, u_nnz, v_nnz, w_nnz)
+    nnz = [(_nnz_rows(s.U), _nnz_rows(s.V), _nnz_rows(s.W)) for s in levels]
+    n_base = _dfs(fm, n, 0, levels, nnz, base)
     return StrassenIOReport(
         n=n,
         M=M,
-        scheme=scheme.name,
+        scheme=levels[0].name if uniform else "+".join(s.name for s in levels),
         counter=fm.counter,
-        base_size=base,
+        base_size=-1 if base is None else base,
         n_base_multiplies=n_base,
         shape=(n, n, n),
     )
 
 
-def _dfs(fm, size, scheme, base, u_nnz, v_nnz, w_nnz) -> int:
-    """Recursive worker; returns the number of base multiplications done."""
-    if size <= base:
+def _dfs(fm, size, level, levels, nnz, base) -> int:
+    """Recursive worker; returns the number of base multiplications done.
+
+    Stops at ``size <= base``, or (``base is None``) once the three blocks
+    fit in fast memory.
+    """
+    if (size <= base) if base is not None else (3 * size * size <= fm.M):
         # Read A-block and B-block, multiply in fast memory, write C-block.
         a, b, c = _fresh("A"), _fresh("B"), _fresh("C")
         fm.new_slow(a, size * size)
@@ -180,6 +262,10 @@ def _dfs(fm, size, scheme, base, u_nnz, v_nnz, w_nnz) -> int:
             fm.free(name)
             fm.drop(name)
         return 1
+    if level == len(levels) or size % levels[level].n0:
+        raise ValueError(f"no base case for size {size} at level {level} (M={fm.M})")
+    scheme = levels[level]
+    u_nnz, v_nnz, w_nnz = nnz[level]
     sub = size // scheme.n0
     sub_words = sub * sub
     total = 0
@@ -187,7 +273,7 @@ def _dfs(fm, size, scheme, base, u_nnz, v_nnz, w_nnz) -> int:
         # S_r = Σ U[r,i]·A_i  and  T_r = Σ V[r,j]·B_j, streamed to slow.
         fm.stream(read_sizes=[sub_words] * u_nnz[r], write_sizes=[sub_words])
         fm.stream(read_sizes=[sub_words] * v_nnz[r], write_sizes=[sub_words])
-        total += _dfs(fm, sub, scheme, base, u_nnz, v_nnz, w_nnz)
+        total += _dfs(fm, sub, level + 1, levels, nnz, base)
     for q in range(scheme.c_blocks):
         # C_q = Σ W[q,r]·Q_r, streamed.
         fm.stream(read_sizes=[sub_words] * w_nnz[q], write_sizes=[sub_words])
@@ -203,8 +289,8 @@ def dfs_io_model(
     """Exact counts of :func:`dfs_io` via the uniform-recursion recurrence.
 
     The simulation's cost at a node depends only on the subproblem size, so
-    one evaluation per distinct size suffices; this runs in O(depth) and
-    lets the experiments sweep to sizes where the tree has billions of
+    :func:`_dfs_counts` evaluates each level once; this runs in O(depth)
+    and lets the experiments sweep to sizes where the tree has billions of
     nodes.  Tests assert word- and message-exact agreement with dfs_io.
     """
     if isinstance(scheme, str):
@@ -215,50 +301,8 @@ def dfs_io_model(
             f"for rectangular scheme {scheme.name!r}"
         )
     base = _check_base(n, M, scheme.n0, base)
-    u_nnz = _nnz_rows(scheme.U)
-    v_nnz = _nnz_rows(scheme.V)
-    w_nnz = _nnz_rows(scheme.W)
-
-    cache: dict[int, tuple[int, int, int, int, int]] = {}
-
-    def go(size: int) -> tuple[int, int, int, int, int]:
-        """(wr, mr, ww, mw, base_mults) for one subproblem of this size."""
-        if size in cache:
-            return cache[size]
-        if size <= base:
-            res = (2 * size * size, 2, size * size, 1, 1)
-            cache[size] = res
-            return res
-        sub = size // scheme.n0
-        sw = sub * sub
-        wr = mr = ww = mw = mults = 0
-        sub_res = go(sub)
-        for r in range(scheme.t0):
-            for nnz in (u_nnz[r], v_nnz[r]):
-                a, b, c, d = _stream_counts(sw, nnz, M)
-                wr += a
-                mr += b
-                ww += c
-                mw += d
-            wr += sub_res[0]
-            mr += sub_res[1]
-            ww += sub_res[2]
-            mw += sub_res[3]
-            mults += sub_res[4]
-        for q in range(scheme.c_blocks):
-            a, b, c, d = _stream_counts(sw, w_nnz[q], M)
-            wr += a
-            mr += b
-            ww += c
-            mw += d
-        res = (wr, mr, ww, mw, mults)
-        cache[size] = res
-        return res
-
-    wr, mr, ww, mw, mults = go(n)
-    counter = IOCounter(
-        words_read=wr, words_written=ww, messages_read=mr, messages_written=mw
-    )
+    # base is reachable, so n.bit_length() levels are more than enough
+    counter, mults, _ = _dfs_counts((n, n, n), [scheme] * n.bit_length(), M, base)
     return StrassenIOReport(
         n=n,
         M=M,
@@ -289,71 +333,30 @@ def rect_dfs_io_model(
     """
     if isinstance(scheme, str):
         scheme = get_scheme(scheme)
-    u_nnz = _nnz_rows(scheme.U)
-    v_nnz = _nnz_rows(scheme.V)
-    w_nnz = _nnz_rows(scheme.W)
-
-    cache: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
-    base_shape: list[tuple[int, int, int]] = []
-
-    def go(mm: int, nn: int, pp: int) -> tuple[int, int, int, int, int]:
-        key = (mm, nn, pp)
-        if key in cache:
-            return cache[key]
-        if mm * nn + nn * pp + mm * pp <= M:
-            # Read the A and B blocks, multiply in-core, write the C block.
-            if not base_shape:
-                base_shape.append(key)
-            res = (mm * nn + nn * pp, 2, mm * pp, 1, 1)
-            cache[key] = res
-            return res
-        if mm % scheme.m0 or nn % scheme.n0 or pp % scheme.p0:
+    # Every level that changes the shape halves a dimension, so this many
+    # levels reach a base or a non-divisible shape; a list that still runs
+    # out means the scheme stopped shrinking the shape.
+    levels = [scheme] * (m.bit_length() + n.bit_length() + p.bit_length())
+    try:
+        counter, mults, base_shape = _dfs_counts((m, n, p), levels, M)
+    except _NoBaseCase as stuck:
+        mm, nn, pp = stuck.shape
+        if stuck.level < len(levels):
             raise ValueError(
                 f"shape ({mm},{nn},{pp}) not divisible by scheme shape "
                 f"{scheme.shape} yet its blocks exceed M={M}"
-            )
-        sm, sn, sp = mm // scheme.m0, nn // scheme.n0, pp // scheme.p0
-        if (sm, sn, sp) == (mm, nn, pp):
-            # degenerate ⟨1,1,1⟩ scheme: the recursion makes no progress
-            raise ValueError(
-                f"shape ({mm},{nn},{pp}) exceeds M={M} but scheme shape "
-                f"{scheme.shape} cannot shrink it"
-            )
-        aw, bw, cw = sm * sn, sn * sp, sm * sp
-        wr = mr = ww = mw = mults = 0
-        sub_res = go(sm, sn, sp)
-        for r in range(scheme.t0):
-            for nnz, words in ((u_nnz[r], aw), (v_nnz[r], bw)):
-                a, b, c, d = _stream_counts(words, nnz, M)
-                wr += a
-                mr += b
-                ww += c
-                mw += d
-            wr += sub_res[0]
-            mr += sub_res[1]
-            ww += sub_res[2]
-            mw += sub_res[3]
-            mults += sub_res[4]
-        for q in range(scheme.c_blocks):
-            a, b, c, d = _stream_counts(cw, w_nnz[q], M)
-            wr += a
-            mr += b
-            ww += c
-            mw += d
-        res = (wr, mr, ww, mw, mults)
-        cache[key] = res
-        return res
-
-    wr, mr, ww, mw, mults = go(m, n, p)
-    counter = IOCounter(
-        words_read=wr, words_written=ww, messages_read=mr, messages_written=mw
-    )
+            ) from None
+        # degenerate ⟨1,1,1⟩ scheme: the recursion makes no progress
+        raise ValueError(
+            f"shape ({mm},{nn},{pp}) exceeds M={M} but scheme shape "
+            f"{scheme.shape} cannot shrink it"
+        ) from None
     return StrassenIOReport(
         n=max(m, n, p),
         M=M,
         scheme=scheme.name,
         counter=counter,
-        base_size=max(base_shape[0]) if base_shape else -1,
+        base_size=max(base_shape),
         n_base_multiplies=mults,
         shape=(m, n, p),
     )

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.io_strassen import StrassenIOReport
+from repro.algorithms.io_strassen import StrassenIOReport, _dfs_counts, _NoBaseCase
 from repro.cdag.schemes import BilinearScheme, get_scheme
-from repro.machine.cache import FastMemory
 
 __all__ = [
     "nonstationary_multiply",
@@ -90,107 +89,35 @@ def _rec(A, B, schemes, level):
 def nonstationary_io(n: int, M: int, schemes) -> StrassenIOReport:
     """I/O of the depth-first non-stationary recursion (exact counts).
 
-    Mirrors :func:`repro.algorithms.io_strassen.dfs_io`'s accounting level
-    by level; the level list must be long enough to reach a base that fits
-    (``3·s² ≤ M``), otherwise ``ValueError``.
-
-    The recursion is *uniform*: every subproblem at one level has the same
-    size and streams against an empty fast memory, so sibling subtrees
-    charge identical counter deltas (the same fact ``dfs_io_model`` exploits
-    wholesale).  Each distinct ``(size, level)`` subtree is therefore
-    simulated once and its counter delta replayed for the remaining
-    ``t₀ − 1`` siblings — bit-identical totals in O(depth) simulated nodes
-    instead of Θ(t₀^depth).
+    The level list feeds the same recurrence as
+    :func:`~repro.algorithms.io_strassen.dfs_io_model`, one scheme per
+    level, so the counts equal the reference simulation
+    ``dfs_io(n, M, schemes)`` (the tests pin this).  The recursion stops at
+    the first size whose three blocks fit (``3·s² ≤ M``); a level list too
+    short to get there, or a size a level's n₀ does not divide, raises
+    ``ValueError``.
     """
     schemes = _resolve(schemes)
-    fm = FastMemory(M)
-    nnz = [
-        (
-            [int((row != 0).sum()) for row in s.U],
-            [int((row != 0).sum()) for row in s.V],
-            [int((row != 0).sum()) for row in s.W],
-        )
-        for s in schemes
-    ]
-    memo: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
-
-    def go(size: int, level: int) -> int:
-        key = (size, level)
-        hit = memo.get(key)
-        c = fm.counter
-        if hit is not None:
-            wr, mr, ww, mw, mults = hit
-            c.words_read += wr
-            c.messages_read += mr
-            c.words_written += ww
-            c.messages_written += mw
-            return mults
-        before = (c.words_read, c.messages_read, c.words_written, c.messages_written)
-        mults = _go(size, level)
-        memo[key] = (
-            c.words_read - before[0],
-            c.messages_read - before[1],
-            c.words_written - before[2],
-            c.messages_written - before[3],
-            mults,
-        )
-        return mults
-
-    def _go(size: int, level: int) -> int:
-        if 3 * size * size <= M:
-            a = f"A@{level}/{size}"
-            b = f"B@{level}/{size}"
-            c = f"C@{level}/{size}"
-            # names must be unique per call; FastMemory regions are dropped
-            # immediately so a counter suffix suffices
-            a, b, c = _unique(a), _unique(b), _unique(c)
-            fm.new_slow(a, size * size)
-            fm.new_slow(b, size * size)
-            fm.load(a)
-            fm.load(b)
-            fm.alloc_fast(c, size * size)
-            fm.store(c)
-            for name in (a, b, c):
-                fm.free(name)
-                fm.drop(name)
-            return 1
-        if level >= len(schemes):
+    try:
+        counter, mults, _ = _dfs_counts((n, n, n), schemes, M)
+    except _NoBaseCase as stuck:
+        size, level = stuck.shape[0], stuck.level
+        if level == len(schemes):
             raise ValueError(
                 f"scheme list exhausted at size {size} with 3·{size}² > M={M}"
-            )
-        s = schemes[level]
-        if size % s.n0 != 0:
-            raise ValueError(f"size {size} not divisible by level-{level} n0={s.n0}")
-        sub = size // s.n0
-        sw = sub * sub
-        u_nnz, v_nnz, w_nnz = nnz[level]
-        total = 0
-        for r in range(s.t0):
-            fm.stream(read_sizes=[sw] * u_nnz[r], write_sizes=[sw])
-            fm.stream(read_sizes=[sw] * v_nnz[r], write_sizes=[sw])
-            total += go(sub, level + 1)
-        for q in range(s.c_blocks):
-            fm.stream(read_sizes=[sw] * w_nnz[q], write_sizes=[sw])
-        return total
-
-    mults = go(n, 0)
+            ) from None
+        raise ValueError(
+            f"size {size} not divisible by level-{level} n0={schemes[level].n0}"
+        ) from None
     label = "+".join(s.name for s in schemes)
     return StrassenIOReport(
         n=n,
         M=M,
         scheme=f"nonstat[{label}]",
-        counter=fm.counter,
+        counter=counter,
         base_size=-1,
         n_base_multiplies=mults,
     )
-
-
-_counter = [0]
-
-
-def _unique(prefix: str) -> str:
-    _counter[0] += 1
-    return f"{prefix}#{_counter[0]}"
 
 
 def nonstationary_flops(n: int, schemes) -> int:

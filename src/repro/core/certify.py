@@ -10,7 +10,8 @@ are mathematically certified for the loop-regularized graph —
 * ``lower`` — exact enumeration (within the enumeration limit), the Cheeger
   bound ``λ₂/2 <= h(G)`` from the sparse eigensolve, or the trivial ``0``
   when no eigensolve ran (expansion is nonnegative, so ``0`` is certified,
-  unlike the estimate's ``NaN`` which certifies nothing);
+  unlike the estimate's ``NaN`` which certifies nothing) or when the upper
+  witness has zero boundary (which proves ``h(G) = 0``);
 * ``upper`` — a concrete cut: the exact minimizer, the best Fiedler sweep
   prefix, or a decode-cone witness (every cut's ratio upper-bounds the
   minimum by definition).
@@ -125,10 +126,12 @@ def interval_from_estimate(est: ExpansionEstimate) -> ExpansionInterval:
     Exact and spectral estimates carry their own certified lower bound;
     cone-only estimates report ``NaN`` (no eigensolve ran), which certifies
     the trivial ``0 <= h(G)`` — the interval makes that explicit instead of
-    propagating a hole.
+    propagating a hole.  A witness cut with zero boundary proves
+    ``h(G) = 0``, so ``upper == 0`` certifies ``[0, 0]`` whatever
+    floating-point residue the Cheeger lower bound carries.
     """
     lower = est.lower
-    if math.isnan(lower):
+    if math.isnan(lower) or est.upper == 0.0:
         lower = 0.0
     return ExpansionInterval(
         lower=lower,

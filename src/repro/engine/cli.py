@@ -23,7 +23,7 @@ import os
 import sys
 from typing import TextIO
 
-from repro.engine.builders import POLICIES, cached_estimate
+from repro.engine.builders import POLICIES
 from repro.engine.cache import EngineCache, default_cache
 from repro.engine.grid import GridSpec, run_grid
 from repro.util.jsonutil import jsonable
@@ -583,22 +583,10 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_expansion(args: argparse.Namespace, cache: EngineCache, out: TextIO) -> int:
-    est = cached_estimate(
-        args.scheme, args.k, policy=args.policy, cache=cache, jobs=args.jobs
-    )
+    from repro.serve.jobs import expansion_payload
+
+    payload = expansion_payload(vars(args), cache, jobs=args.jobs)
     # Strict-JSON invariant (same as the sweep report): NaN → null.
-    payload = {
-        "scheme": args.scheme,
-        "k": args.k,
-        "policy": args.policy,
-        "lower": est.lower,
-        "upper": est.upper,
-        "witness_size": est.witness_size,
-        "witness_boundary": est.witness_boundary,
-        "degree": est.degree,
-        "method": est.method,
-        "interval": est.interval().as_dict(),
-    }
     print(json.dumps(jsonable(payload), indent=2, allow_nan=False), file=out)
     return 0
 

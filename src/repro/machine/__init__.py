@@ -1,20 +1,15 @@
-"""Machine models: the sequential two-level memory and the parallel α–β machine."""
+"""Machine models: the sequential two-level memory and the parallel α–β machine.
+
+The package re-exports the collectives the parallel algorithms use, all in
+batched form (``broadcast_many``, ``reduce_many``, ``shift_many``): each
+runs over a list of disjoint groups, and a single collective is the
+one-group case.
+"""
 
 from repro.machine.cache import FastMemory, Region, streamed_add_cost
 from repro.machine.counters import CommLog, IOCounter, SuperstepRecord
 from repro.machine.distributed import Machine, Message
-from repro.machine.collectives import (
-    allgather,
-    broadcast,
-    broadcast_many,
-    gather,
-    reduce,
-    reduce_many,
-    reduce_scatter,
-    scatter,
-    shift,
-    shift_many,
-)
+from repro.machine.collectives import broadcast_many, reduce_many, shift_many
 from repro.machine.distmatrix import Grid2D, Grid3D, distribute_blocks, gather_blocks
 
 __all__ = [
@@ -26,15 +21,8 @@ __all__ = [
     "SuperstepRecord",
     "Machine",
     "Message",
-    "allgather",
-    "broadcast",
     "broadcast_many",
-    "gather",
-    "reduce",
     "reduce_many",
-    "reduce_scatter",
-    "scatter",
-    "shift",
     "shift_many",
     "Grid2D",
     "Grid3D",

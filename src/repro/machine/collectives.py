@@ -5,8 +5,16 @@ formula: a broadcast here really performs its ⌈lg g⌉ rounds of sends, so the
 words the machine logs are the words a real binomial-tree broadcast moves.
 The classical parallel algorithms (SUMMA, 3D, 2.5D) are built on these.
 
-All collectives operate on an explicit ``group`` (list of ranks) so the
-recursive algorithms can run them inside processor subsets.
+The broadcast, reduction and shift the algorithms use come only in batched
+form: each runs over a list of disjoint groups (lists of ranks) at once, so
+the recursive algorithms can run them inside processor subsets.  On a real
+machine, q rows of a grid shift (or broadcast) at the same time; charging
+their rounds as separate supersteps would serialize them on the critical
+path.  So the groups share one round structure, with the messages of all
+groups merged per round; a single collective is the one-group case.
+
+``allgather``, ``reduce_scatter``, ``scatter`` and ``gather`` act on one
+group and have no caller outside the tests.
 """
 
 from __future__ import annotations
@@ -16,16 +24,13 @@ import numpy as np
 from repro.machine.distributed import Machine, Message
 
 __all__ = [
-    "broadcast",
-    "reduce",
+    "broadcast_many",
+    "reduce_many",
+    "shift_many",
     "allgather",
     "reduce_scatter",
     "scatter",
     "gather",
-    "shift",
-    "shift_many",
-    "broadcast_many",
-    "reduce_many",
 ]
 
 
@@ -34,72 +39,6 @@ def _group_index(group: list[int], rank: int) -> int:
         return group.index(rank)
     except ValueError:
         raise ValueError(f"rank {rank} not in group {group}") from None
-
-
-def broadcast(m: Machine, group: list[int], root: int, key: str, label: str = "bcast") -> None:
-    """Binomial-tree broadcast of ``key`` from ``root`` to every group rank.
-
-    ⌈lg g⌉ rounds; in the round with distance ``step``, the ranks at
-    root-relative positions ``[0, step)`` (which already hold the value)
-    send to positions ``[step, 2·step)``.
-    """
-    g = len(group)
-    ri = _group_index(group, root)
-    step = 1
-    while step < g:
-        msgs = []
-        for q in range(step):
-            tq = q + step
-            if tq < g:
-                src = group[(ri + q) % g]
-                dst = group[(ri + tq) % g]
-                msgs.append(Message(src, dst, key, m.get(src, key)))
-        if msgs:
-            m.exchange(msgs, label=label)
-        step *= 2
-
-
-def reduce(
-    m: Machine,
-    group: list[int],
-    root: int,
-    key: str,
-    out_key: str | None = None,
-    label: str = "reduce",
-) -> None:
-    """Binomial-tree sum-reduction of ``key`` onto ``root``.
-
-    The mirror of :func:`broadcast`: with ``step`` halving, root-relative
-    positions ``[step, 2·step)`` send their partials to ``[0, step)``, which
-    accumulate.  The root ends with the group sum under ``out_key``
-    (default: ``key``); other ranks' partials are consumed.
-    """
-    out_key = out_key or key
-    g = len(group)
-    ri = _group_index(group, root)
-    partial = {q: m.get(group[(ri + q) % g], key).copy() for q in range(g)}
-    step = 1
-    while step < g:
-        step *= 2
-    step //= 2
-    while step >= 1:
-        msgs = []
-        pairs = []
-        for q in range(step, min(2 * step, g)):
-            src = group[(ri + q) % g]
-            dst = group[(ri + q - step) % g]
-            msgs.append(Message(src, dst, f"__red_{key}", partial[q]))
-            pairs.append((q, q - step))
-        if msgs:
-            m.exchange(msgs, label=label)
-            for q_src, q_dst in pairs:
-                rank_dst = group[(ri + q_dst) % g]
-                incoming = m.pop(rank_dst, f"__red_{key}")
-                partial[q_dst] = partial[q_dst] + incoming
-                m.flop(rank_dst, int(incoming.size))
-                del partial[q_src]
-        step //= 2
-    m.put(root, out_key, partial[0])
 
 
 def allgather(
@@ -211,27 +150,6 @@ def gather(
     m.put(root, out_key, np.concatenate([parts[i].ravel() for i in range(len(group))]))
 
 
-def shift(m: Machine, group: list[int], key: str, offset: int, label: str = "shift") -> None:
-    """Cyclic shift within the group: rank i's ``key`` moves to rank i+offset."""
-    g = len(group)
-    msgs = []
-    payloads = {i: m.get(group[i], key) for i in range(g)}
-    for i in range(g):
-        j = (i + offset) % g
-        msgs.append(Message(group[i], group[j], key, payloads[i]))
-    m.exchange(msgs, label=label)
-
-
-# ---------------------------------------------------------------------- #
-# batched variants: many disjoint groups operating simultaneously         #
-# ---------------------------------------------------------------------- #
-#
-# On a real machine, q rows of a grid shift (or broadcast) at the same
-# time; charging their rounds as separate supersteps would serialize them
-# on the critical path.  The *_many variants run the same round structure
-# with the messages of all (disjoint) groups merged per round.
-
-
 def _assert_disjoint(groups: list[list[int]]) -> None:
     seen: set[int] = set()
     for g in groups:
@@ -258,10 +176,13 @@ def shift_many(
 def broadcast_many(
     m: Machine, groups_roots: list[tuple[list[int], int]], key: str, label: str = "bcast"
 ) -> None:
-    """Simultaneous binomial broadcasts in many disjoint groups.
+    """Simultaneous binomial-tree broadcasts of ``key`` in many disjoint groups.
 
-    Rounds are shared: in round ``step`` every group whose size exceeds
-    ``step`` contributes its sends, and all of them form one superstep.
+    ⌈lg g⌉ rounds; in the round with distance ``step``, the ranks at
+    root-relative positions ``[0, step)`` (which already hold the value)
+    send to positions ``[step, 2·step)``.  Rounds are shared: every group
+    whose size exceeds ``step`` contributes its sends, and all of them form
+    one superstep.
     """
     _assert_disjoint([g for g, _ in groups_roots])
     if not groups_roots:
@@ -291,7 +212,13 @@ def reduce_many(
     out_key: str | None = None,
     label: str = "reduce",
 ) -> None:
-    """Simultaneous binomial sum-reductions in many disjoint groups."""
+    """Simultaneous binomial-tree sum-reductions of ``key`` in many disjoint groups.
+
+    The mirror of :func:`broadcast_many`: with ``step`` halving, root-relative
+    positions ``[step, 2·step)`` send their partials to ``[0, step)``, which
+    accumulate.  Each root ends with its group sum under ``out_key``
+    (default: ``key``); other ranks' partials are consumed.
+    """
     _assert_disjoint([g for g, _ in groups_roots])
     out_key = out_key or key
     if not groups_roots:
@@ -327,5 +254,5 @@ def reduce_many(
                 m.flop(rank_dst, int(incoming.size))
                 del partial[q_src]
         step //= 2
-    for (group, root), (group2, ri, partial) in zip(groups_roots, states):
+    for (_, root), (_, _, partial) in zip(groups_roots, states):
         m.put(root, out_key, partial[0])

@@ -171,11 +171,3 @@ class CommLog:
     @property
     def n_supersteps(self) -> int:
         return len(self.steps)
-
-    def per_rank_sent(self) -> dict[int, int]:
-        """Total words sent by each rank over the whole run."""
-        out: dict[int, int] = {}
-        for s in self.steps:
-            for r, w in s.sent.items():
-                out[r] = out.get(r, 0) + w
-        return out

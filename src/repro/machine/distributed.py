@@ -258,27 +258,6 @@ class Machine:
         b = self.beta if beta is None else float(beta)
         return self.log.time(a, b)
 
-    def estimated_time(self, gamma: float = 0.0) -> float:
-        """α·messages + β·words (+ γ·flops) along the critical path."""
-        self.end_compute_phase()
-        return (
-            self.alpha * self.critical_messages
-            + self.beta * self.critical_words
-            + gamma * self.critical_flops
-        )
-
-    def summary(self) -> dict:
-        """Headline numbers for experiment tables."""
-        return {
-            "p": self.p,
-            "critical_words": self.critical_words,
-            "critical_messages": self.critical_messages,
-            "total_words": self.log.total_words,
-            "supersteps": self.log.n_supersteps,
-            "max_mem_peak": self.max_mem_peak,
-            "total_flops": sum(self._flops),
-        }
-
     def _check_rank(self, rank: int) -> None:
         if not (0 <= rank < self.p):
             raise ValueError(f"rank {rank} out of range [0, {self.p})")

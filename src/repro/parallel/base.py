@@ -161,29 +161,6 @@ class ParallelResult:
         """α–β critical-path time ``Σ_steps max_r (α·msgs_r + β·words_r)``."""
         return self.machine.time(alpha, beta)
 
-    def time_on(self, topology: Topology) -> float:
-        """Critical-path time under a topology's effective tier parameters."""
-        alpha, beta = topology.effective_alpha_beta(self.p)
-        return self.machine.time(alpha, beta)
-
-    def summary(self) -> dict:
-        """Headline numbers for experiment tables."""
-        out = {
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "p": self.p,
-            "c": self.c,
-            "critical_words": self.critical_words,
-            "critical_messages": self.critical_messages,
-            "max_mem_peak": self.max_mem_peak,
-            "time": self.time(),
-        }
-        if self.scheme_name is not None:
-            out["scheme"] = self.scheme_name
-        if self.verified is not None:
-            out["verified"] = self.verified
-        return out
-
 
 # ---------------------------------------------------------------------- #
 # the protocol                                                            #

@@ -30,6 +30,7 @@ __all__ = [
     "JOB_KINDS",
     "Job",
     "build_payload",
+    "expansion_payload",
     "parse_job",
     "run_job_inline",
     "run_job_pooled",
@@ -211,8 +212,17 @@ def parse_job(kind: str, raw: dict[str, str]) -> Job:
 # ---------------------------------------------------------------------- #
 
 
-def _expansion_payload(params: dict[str, Any], cache: EngineCache) -> dict[str, Any]:
-    est = cached_estimate(params["scheme"], params["k"], policy=params["policy"], cache=cache)
+def expansion_payload(
+    params: dict[str, Any], cache: EngineCache, jobs: int = 1
+) -> dict[str, Any]:
+    """The ``/expansion`` answer, also printed by ``repro expansion``.
+
+    ``params`` holds ``scheme``, ``k`` and ``policy``; ``jobs`` is the exact
+    scan's width (the CLI passes ``--jobs``, the service uses 1).
+    """
+    est = cached_estimate(
+        params["scheme"], params["k"], policy=params["policy"], cache=cache, jobs=jobs
+    )
     return {
         "scheme": params["scheme"],
         "k": params["k"],
@@ -326,7 +336,7 @@ def _plan_payload(params: dict[str, Any], cache: EngineCache) -> dict[str, Any]:
 
 
 _BUILDERS = {
-    "expansion": _expansion_payload,
+    "expansion": expansion_payload,
     "bounds": _bounds_payload,
     "sweep": _sweep_payload,
     "scaling": _scaling_payload,

@@ -160,6 +160,12 @@ class TestDfsIO:
         with pytest.raises(ValueError, match="not reachable"):
             dfs_io_model(256, 3 * 32 * 32, "strassen", base=24)
 
+    def test_degenerate_scheme_explicit_base_rejected(self):
+        # ⟨1,1,1⟩ cannot shrink n toward a smaller base: a clear error, not
+        # an endless division by 1
+        with pytest.raises(ValueError, match="not reachable"):
+            dfs_io_model(8, 1000, "classical1x1x1", base=4)
+
     def test_messages_bounded_by_words(self):
         rep = dfs_io_model(256, 768, "strassen")
         assert rep.messages <= rep.words

@@ -81,6 +81,46 @@ class TestProvenanceMapping:
         assert iv.lower == 0.0 and iv.upper == 0.25 and iv.provenance == "cone"
 
 
+    def test_zero_upper_certifies_zero_despite_float_residue(self):
+        # a zero-boundary witness proves h = 0; the Cheeger lower carries
+        # eigensolver residue (~1e-17) that must not empty the interval
+        est = ExpansionEstimate(
+            lower=2.15e-17, upper=0.0, witness_size=4,
+            witness_boundary=0, degree=6, method="spectral+sweep",
+        )
+        iv = interval_from_estimate(est)
+        assert (iv.lower, iv.upper) == (0.0, 0.0)
+        assert iv.provenance == "cheeger+sweep"
+
+    def test_positive_upper_keeps_the_invariant_check(self):
+        est = ExpansionEstimate(
+            lower=0.5, upper=0.25, witness_size=4,
+            witness_boundary=1, degree=6, method="spectral+sweep",
+        )
+        with pytest.raises(ValueError, match="empty"):
+            interval_from_estimate(est)
+
+
+ZERO_EXPANSION_CASES = [
+    ("classical2", 3, "auto"),
+    ("classical2", 4, "auto"),
+    ("classical2", 1, "spectral"),
+    ("classical2", 3, "spectral"),
+    ("classical122", 1, "spectral"),
+    ("classical122", 2, "spectral"),
+    ("classical221", 1, "spectral"),
+    ("classical221", 2, "spectral"),
+]
+
+
+@pytest.mark.parametrize(("scheme", "k", "policy"), ZERO_EXPANSION_CASES)
+def test_zero_boundary_witness_gives_zero_interval(scheme, k, policy):
+    est = cached_estimate(scheme, k, policy=policy, cache=EngineCache(disk=False))
+    assert est.witness_boundary == 0 and est.upper == 0.0
+    iv = est.interval()
+    assert (iv.lower, iv.upper) == (0.0, 0.0)
+
+
 class TestEstimatorIntervals:
     def test_exact_interval_pins_h(self):
         g = dec_graph("strassen", 1)

@@ -181,12 +181,6 @@ class TestFlops:
         with pytest.raises(ValueError):
             m.flop(0, -1)
 
-    def test_estimated_time_combines(self):
-        m = Machine(2, alpha=5.0, beta=2.0)
-        m.exchange([(0, 1, "a", np.zeros(10))])
-        t = m.estimated_time()
-        assert t == 5.0 * 1 + 2.0 * 10
-
 
 class TestAlphaBetaTime:
     def test_hand_computed_two_supersteps(self):
@@ -245,4 +239,3 @@ class TestCounters:
         assert log.critical_words == 12
         assert log.total_words == 12
         assert log.n_supersteps == 2
-        assert log.per_rank_sent() == {0: 5, 1: 7}

@@ -1,15 +1,20 @@
 """Tests for the §5.2 uniform non-stationary class."""
 
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 
-from repro.algorithms.io_strassen import dfs_io
+from repro.algorithms.io_strassen import dfs_io, dfs_io_model
 from repro.algorithms.nonstationary import (
     nonstationary_flops,
     nonstationary_io,
     nonstationary_multiply,
     strassen_with_cutoff_levels,
 )
+from repro.cdag.schemes import available_schemes, get_scheme
 from repro.util.matgen import integer_matrix
 
 
@@ -99,3 +104,71 @@ class TestFlops:
         assert strassen_with_cutoff_levels(4, 3) == ["strassen"] * 3
         with pytest.raises(ValueError):
             strassen_with_cutoff_levels(4, -1)
+
+
+def _counts(rep):
+    c = rep.counter
+    return (
+        c.words_read,
+        c.messages_read,
+        c.words_written,
+        c.messages_written,
+        rep.n_base_multiplies,
+    )
+
+
+SQUARE_SCHEMES = [s for s in available_schemes() if get_scheme(s).is_square]
+
+#: simulate only recursion trees this small; the recurrence covers the rest
+MAX_SIMULATED_LEAVES = 4096
+
+
+class TestRecurrenceMatchesSimulator:
+    """The one I/O recurrence against the FastMemory reference simulator."""
+
+    @pytest.mark.parametrize("name", SQUARE_SCHEMES)
+    def test_square_model_matches_simulation(self, name):
+        n0 = get_scheme(name).n0
+        compared = 0
+        for n, M, base in itertools.product(
+            (n0, 3 * n0, n0**2, n0**3), (3, 12, 27, 48, 192, 768), (None, 1)
+        ):
+            try:
+                model = dfs_io_model(n, M, name, base=base)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    dfs_io(n, M, name, base=base)
+                continue
+            if model.n_base_multiplies > MAX_SIMULATED_LEAVES:
+                continue
+            assert _counts(model) == _counts(dfs_io(n, M, name, base=base))
+            compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_level_list_matches_simulation(self, seed):
+        rng = random.Random(seed)
+        while True:
+            levels = [rng.choice(SQUARE_SCHEMES) for _ in range(rng.randint(1, 4))]
+            if math.prod(get_scheme(s).t0 for s in levels) <= MAX_SIMULATED_LEAVES:
+                break
+        n = rng.choice([1, 2, 3]) * math.prod(get_scheme(s).n0 for s in levels)
+        M = rng.choice([3, 12, 27, 48, 192])
+        try:
+            model = nonstationary_io(n, M, levels)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dfs_io(n, M, levels)
+            return
+        assert _counts(model) == _counts(dfs_io(n, M, levels))
+
+    def test_mixed_list_reaches_deeper_than_needed_levels(self):
+        # levels beyond the base are unused, in the model and the simulation
+        levels = ["strassen", "classical2", "winograd", "strassen"]
+        model = nonstationary_io(16, 48, levels)
+        assert model.n_base_multiplies == 7 * 8
+        assert _counts(model) == _counts(dfs_io(16, 48, levels))
+
+    def test_simulator_rejects_base_with_level_list(self):
+        with pytest.raises(ValueError, match="base"):
+            dfs_io(16, 48, ["strassen", "classical2"], base=4)

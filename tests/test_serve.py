@@ -131,6 +131,15 @@ class TestEndpoints:
         assert body["interval"]["upper"] == pytest.approx(iv.upper)
         assert body["interval"]["lower"] <= body["interval"]["upper"]
 
+    def test_zero_expansion_graph_answers_zero_interval(self, cache):
+        # classical2's Dec_3 has a zero-boundary witness: h = 0 is certified
+        async def scenario(svc):
+            return await _get(svc, "/expansion?scheme=classical2&k=3")
+
+        status, body = _run_with_service(cache, scenario)
+        assert status == 200
+        assert body["interval"]["lower"] == body["interval"]["upper"] == 0.0
+
     def test_cone_only_nan_serializes_as_null(self, cache):
         async def scenario(svc):
             return await _get(svc, "/expansion?scheme=strassen&k=5")
