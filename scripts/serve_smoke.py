@@ -4,8 +4,9 @@
 Boots the real CLI entry point as a subprocess on a free port, fires a
 concurrent request mix (an identical-``/expansion`` wave to exercise
 single-flight, an ``/expansion`` on a graph with h = 0, plus ``/bounds``,
-``/sweep`` and ``/healthz``), and checks
-every response plus the ``/cache/info`` counters.  Exits non-zero on any
+``/sweep`` and ``/healthz``) and one bad request (``/scaling?cs=0``, which
+must answer 400, not 500), and checks every response plus the
+``/cache/info`` counters.  Exits non-zero on any
 failure; prints one summary line on success.
 
 Usage::
@@ -30,6 +31,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.serve.http import fetch_json  # noqa: E402
 
 CLIENTS = 8
+
+#: The one deliberately bad request: a replication factor below 1 is the
+#: client's fault and must be rejected with a 400.
+BAD_REQUEST = "/scaling?cs=0"
 
 
 def free_port() -> int:
@@ -69,6 +74,9 @@ async def hammer(port: int) -> dict:
     failures = [(t, s) for t, (s, _) in zip(mix, results) if s != 200]
     if failures:
         raise SystemExit(f"non-200 responses: {failures}")
+    status, body = await fetch_json("127.0.0.1", port, BAD_REQUEST)
+    if status != 400:
+        raise SystemExit(f"{BAD_REQUEST} answered {status} {body!r}, expected 400")
     bodies = [body for _, body in results[:CLIENTS]]
     if any(body != bodies[0] for body in bodies):
         raise SystemExit("identical /expansion requests returned differing payloads")
@@ -114,8 +122,8 @@ def main() -> int:
 
     service = info["service"]
     stats = info["stats"]
-    if service["errors"] != 0:
-        raise SystemExit(f"service counted {service['errors']} errors")
+    if service["errors"] != 1:  # exactly the one BAD_REQUEST
+        raise SystemExit(f"service counted {service['errors']} errors, expected 1")
     if args.workers == 0 and stats["builds"] == 0:
         raise SystemExit("expected at least one build through the shared cache")
     print(

@@ -2,8 +2,9 @@
 
 :class:`~repro.core.expansion.ExpansionEstimate` reports whatever the chosen
 policy computed — which may include a ``NaN`` lower bound (cone-only rows)
-and leaves the caller to infer from the free-form ``method`` string how much
-trust each side deserves.  This module tightens that into a certificate: an
+and names the route in a free-form ``method`` string.  This module defines
+the certificate that :meth:`ExpansionEstimate.interval()
+<repro.core.expansion.ExpansionEstimate.interval>` derives from it: an
 :class:`ExpansionInterval` is a pair ``lower <= upper`` where *both* sides
 are mathematically certified for the loop-regularized graph —
 
@@ -16,7 +17,8 @@ are mathematically certified for the loop-regularized graph —
   prefix, or a decode-cone witness (every cut's ratio upper-bounds the
   minimum by definition).
 
-``provenance`` names the proof path, one of :data:`PROVENANCES`:
+``provenance`` names the proof path, one of :data:`PROVENANCES`, and
+:data:`METHOD_PROVENANCE` maps each estimator ``method`` to it:
 
 ========================  ====================================================
 ``"exact"``               both sides from exact enumeration (``lower == upper``)
@@ -25,10 +27,12 @@ are mathematically certified for the loop-regularized graph —
 ``"cone"``                trivial ``0`` lower, decode-cone witness upper
 ========================  ====================================================
 
-The engine's ``auto`` policy carries these intervals end-to-end: grid rows,
-the ``/expansion`` serve endpoint, and the CLI all report
+The engine carries these intervals end-to-end: grid rows, the
+``/expansion`` serve endpoint, and the CLI all report
 ``(lower, upper, provenance)`` so a consumer can tell a ``Θ((4/7)^k)``
 sandwich proved by enumeration from one inferred through a witness cut.
+This module depends on nothing else in the package; the estimator imports
+it, never the other way round.
 """
 
 from __future__ import annotations
@@ -37,23 +41,17 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cdag.graph import CDAG
-from repro.cdag.schemes import BilinearScheme
-from repro.core.expansion import ExpansionEstimate, estimate_expansion
-
 __all__ = [
+    "METHOD_PROVENANCE",
     "PROVENANCES",
     "ExpansionInterval",
-    "provenance_for_method",
-    "interval_from_estimate",
-    "certified_interval",
 ]
 
 #: The recognized proof paths, strongest first.
 PROVENANCES = ("exact", "cheeger+sweep", "cheeger+cone", "cone")
 
 #: Estimator ``method`` strings mapped to the proof path they certify.
-_METHOD_PROVENANCE = {
+METHOD_PROVENANCE = {
     "exact": "exact",
     "spectral+sweep": "cheeger+sweep",
     "spectral+cone": "cheeger+cone",
@@ -107,50 +105,3 @@ class ExpansionInterval:
             "upper": self.upper,
             "provenance": self.provenance,
         }
-
-
-def provenance_for_method(method: str) -> str:
-    """The proof path certified by an estimator ``method`` string."""
-    try:
-        return _METHOD_PROVENANCE[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown estimate method {method!r}; "
-            f"expected one of {sorted(_METHOD_PROVENANCE)}"
-        ) from None
-
-
-def interval_from_estimate(est: ExpansionEstimate) -> ExpansionInterval:
-    """The certified interval an :class:`ExpansionEstimate` establishes.
-
-    Exact and spectral estimates carry their own certified lower bound;
-    cone-only estimates report ``NaN`` (no eigensolve ran), which certifies
-    the trivial ``0 <= h(G)`` — the interval makes that explicit instead of
-    propagating a hole.  A witness cut with zero boundary proves
-    ``h(G) = 0``, so ``upper == 0`` certifies ``[0, 0]`` whatever
-    floating-point residue the Cheeger lower bound carries.
-    """
-    lower = est.lower
-    if math.isnan(lower) or est.upper == 0.0:
-        lower = 0.0
-    return ExpansionInterval(
-        lower=lower,
-        upper=est.upper,
-        provenance=provenance_for_method(est.method),
-    )
-
-
-def certified_interval(
-    g: CDAG,
-    scheme: BilinearScheme | str | None = None,
-    k: int | None = None,
-    jobs: int = 1,
-) -> ExpansionInterval:
-    """Certified ``h(G)`` interval for an arbitrary CDAG.
-
-    Thin composition of :func:`~repro.core.expansion.estimate_expansion`
-    (exact below the enumeration ceiling, Cheeger + best witness cut above)
-    and :func:`interval_from_estimate`.  ``scheme``/``k`` unlock the
-    decode-cone witnesses when ``g`` is a ``Dec_k C``.
-    """
-    return interval_from_estimate(estimate_expansion(g, scheme, k, jobs=jobs))

@@ -29,14 +29,25 @@ Exact ``h`` is NP-hard, so the module offers a *sandwich*:
 * **small-set expansion** ``h_s`` (Eq. 5) with the decomposition lower
   bound of Claim 2.1.
 
+:func:`estimate_expansion` is the one place that picks a side of the
+sandwich.  Its :data:`POLICIES` ladder is ``exact`` (enumeration),
+``spectral`` (Cheeger lower bound, best of Fiedler sweep and decode cone
+above), ``cone`` (decode-cone witness only, no lower bound) and ``auto``
+(exact up to :func:`effective_exact_limit` vertices, spectral beyond).
+Every :class:`ExpansionEstimate` it returns derives its certified
+:class:`~repro.core.certify.ExpansionInterval` through
+:meth:`ExpansionEstimate.interval`.  The engine's ``cached_estimate`` only
+memoizes this function (plus one cost rule, see
+:mod:`repro.engine.builders`).
+
 Together the experiments verify ``h(Dec_k C) = Θ((4/7)^k)`` (Lemma 4.3).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,17 +56,17 @@ import scipy.sparse.linalg as spla
 from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
 from repro.cdag.strassen_cdag import dec_level_sizes
+from repro.core.certify import METHOD_PROVENANCE, ExpansionInterval
 from repro.core.exact import (
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
 
-if TYPE_CHECKING:
-    from repro.core.certify import ExpansionInterval
-
 __all__ = [
     "effective_exact_limit",
+    "POLICIES",
+    "validate_policy",
     "ExpansionEstimate",
     "expansion_of_cut",
     "exact_edge_expansion",
@@ -79,15 +90,23 @@ class ExpansionEstimate:
     degree: int                # the regularized degree d used
     method: str
 
-    def interval(self) -> "ExpansionInterval":
+    def interval(self) -> ExpansionInterval:
         """The certified :class:`~repro.core.certify.ExpansionInterval`.
 
-        Lazy import: :mod:`repro.core.certify` builds on this module, so the
-        dependency must not also run at import time in the other direction.
+        Exact and spectral estimates carry their own certified lower bound;
+        cone-only estimates report ``NaN`` (no eigensolve ran), which
+        certifies the trivial ``0 <= h(G)``.  A witness cut with zero
+        boundary proves ``h(G) = 0``, so ``upper == 0`` certifies ``[0, 0]``
+        whatever floating-point residue the Cheeger lower bound carries.
         """
-        from repro.core.certify import interval_from_estimate
-
-        return interval_from_estimate(self)
+        provenance = METHOD_PROVENANCE.get(self.method)
+        if provenance is None:
+            raise ValueError(
+                f"unknown estimate method {self.method!r}; "
+                f"expected one of {sorted(METHOD_PROVENANCE)}"
+            )
+        lower = 0.0 if math.isnan(self.lower) or self.upper == 0.0 else self.lower
+        return ExpansionInterval(lower=lower, upper=self.upper, provenance=provenance)
 
 
 # ---------------------------------------------------------------------- #
@@ -322,46 +341,77 @@ def decode_cone_upper_bound(
 # ---------------------------------------------------------------------- #
 
 
-def estimate_expansion(
-    g: CDAG,
-    scheme: BilinearScheme | str | None = None,
-    k: int | None = None,
-    jobs: int = 1,
-) -> ExpansionEstimate:
-    """Two-sided expansion estimate.
+#: The estimator's policy ladder (see :func:`estimate_expansion`).
+POLICIES = ("auto", "exact", "spectral", "cone")
 
-    Graphs up to :func:`effective_exact_limit` vertices are solved exactly (``jobs``
-    shards the subset search over processes).  Larger graphs get the Cheeger
-    lower bound and the best of (Fiedler sweep, decode cones when
-    ``scheme``/``k`` describe the graph as a ``Dec_k C``).
-    """
-    d = g.max_degree
-    if g.n_vertices <= effective_exact_limit():
-        h, mask = exact_edge_expansion(g, jobs=jobs)
-        return ExpansionEstimate(
-            lower=h,
-            upper=h,
-            witness_size=int(mask.sum()),
-            witness_boundary=g.edge_boundary_size(mask),
-            degree=d,
-            method="exact",
-        )
-    lower, fiedler = spectral_lower_bound(g)
-    upper, mask = fiedler_sweep_cut(g, fiedler)
-    method = "spectral+sweep"
-    if scheme is not None and k is not None:
-        cone_ratio, cone_mask = decode_cone_upper_bound(g, scheme, k)
-        if cone_ratio < upper:
-            upper, mask = cone_ratio, cone_mask
-            method = "spectral+cone"
+
+def validate_policy(policy: str) -> None:
+    """Raise ``ValueError`` unless ``policy`` is one of :data:`POLICIES`."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
+
+
+def _estimate(
+    g: CDAG, lower: float, upper: float, mask: np.ndarray, method: str
+) -> ExpansionEstimate:
     return ExpansionEstimate(
         lower=lower,
         upper=upper,
         witness_size=int(mask.sum()),
         witness_boundary=g.edge_boundary_size(mask),
-        degree=d,
+        degree=g.max_degree,
         method=method,
     )
+
+
+def estimate_expansion(
+    g: CDAG,
+    scheme: BilinearScheme | str | None = None,
+    k: int | None = None,
+    *,
+    policy: str = "auto",
+    jobs: int = 1,
+    spectrum: Callable[[], tuple[float, np.ndarray]] | None = None,
+) -> ExpansionEstimate:
+    """Two-sided expansion estimate under one of the :data:`POLICIES`.
+
+    * ``exact`` — enumeration (``jobs`` shards the subset search over
+      processes without changing the result); ``lower == upper``.
+    * ``spectral`` — Cheeger lower bound ``λ₂/2`` and the best witness cut
+      above it: the Fiedler sweep, or the decode cone when
+      ``scheme``/``k`` describe ``g`` as a ``Dec_k C`` and the cone is
+      feasible and smaller.
+    * ``cone`` — the decode-cone witness alone (needs ``scheme``/``k``;
+      ``NaN`` lower, raises when no cone is feasible).
+    * ``auto`` — ``exact`` up to :func:`effective_exact_limit` vertices,
+      ``spectral`` beyond.
+
+    ``spectrum`` is a zero-argument callable returning
+    ``spectral_lower_bound(g)``; callers that memoize the eigensolve (the
+    engine) pass it in, everyone else leaves it ``None``.
+    """
+    validate_policy(policy)
+    if policy == "auto":
+        policy = "exact" if g.n_vertices <= effective_exact_limit() else "spectral"
+    if policy == "exact":
+        h, mask = exact_edge_expansion(g, jobs=jobs)
+        return _estimate(g, h, h, mask, "exact")
+    if policy == "cone":
+        if scheme is None or k is None:
+            raise ValueError("the cone policy needs the scheme and k of a Dec_k C graph")
+        upper, mask = decode_cone_upper_bound(g, scheme, k)
+        return _estimate(g, math.nan, upper, mask, "cone-only")
+    lower, fiedler = spectrum() if spectrum is not None else spectral_lower_bound(g)
+    upper, mask = fiedler_sweep_cut(g, fiedler)
+    method = "spectral+sweep"
+    if scheme is not None and k is not None:
+        try:
+            cone_ratio, cone_mask = decode_cone_upper_bound(g, scheme, k)
+        except ValueError:  # graph too shallow for a feasible cone: keep the sweep
+            cone_ratio, cone_mask = math.inf, mask
+        if cone_ratio < upper:
+            upper, mask, method = cone_ratio, cone_mask, "spectral+cone"
+    return _estimate(g, lower, upper, mask, method)
 
 
 # ---------------------------------------------------------------------- #

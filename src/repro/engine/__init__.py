@@ -30,9 +30,9 @@ from repro.engine.cache import (
     scheme_fingerprint,
     set_default_cache,
 )
+from repro.core.expansion import POLICIES
 from repro.engine.builders import (
     AUTO_SPECTRAL_LIMIT,
-    POLICIES,
     cached_dec_graph,
     cached_estimate,
     cached_h_graph,

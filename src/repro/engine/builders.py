@@ -5,30 +5,33 @@ the decoded-object layer, then the disk layer, and only then a construction
 from scratch (recording a *build* in the cache stats — a warm sweep reports
 zero builds).  Round-trips are bit-identical: the arrays are stored exactly
 as the constructors produced them.
+
+:func:`cached_estimate` memoizes
+:func:`~repro.core.expansion.estimate_expansion`, which owns the policy
+ladder and the certified interval; the engine adds a single cost rule:
+``auto`` above :data:`AUTO_SPECTRAL_LIMIT` vertices runs the ``cone``
+policy, because the eigensolve it would otherwise start costs seconds per
+graph at ``Dec_5`` scale.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
-from repro.cdag.strassen_cdag import HGraph, dec_graph, h_graph
+from repro.cdag.strassen_cdag import HGraph, dec_graph, dec_vertex_count, h_graph
 from repro.core.expansion import (
     ExpansionEstimate,
-    decode_cone_upper_bound,
     effective_exact_limit,
-    exact_edge_expansion,
-    fiedler_sweep_cut,
+    estimate_expansion,
     spectral_lower_bound,
+    validate_policy,
 )
 from repro.engine.cache import EngineCache, cache_key, default_cache
 
 __all__ = [
     "AUTO_SPECTRAL_LIMIT",
-    "POLICIES",
     "cached_dec_graph",
     "cached_h_graph",
     "cached_spectrum",
@@ -36,12 +39,9 @@ __all__ = [
 ]
 
 #: Under the "auto" policy, graphs larger than this skip the eigensolve and
-#: fall back to the decode-cone upper bound (eigensolves are O(minutes) at
-#: Dec_5 scale; the cone witness is the quantity the decay fits use anyway).
+#: fall back to the decode-cone upper bound (a Dec_5 eigensolve takes about
+#: 12 s; the cone witness is the quantity the decay fits use anyway).
 AUTO_SPECTRAL_LIMIT = 10_000
-
-#: Estimate policies understood by :func:`cached_estimate` and the grid.
-POLICIES = ("auto", "exact", "spectral", "cone")
 
 
 def _resolve(scheme: BilinearScheme | str) -> BilinearScheme:
@@ -137,54 +137,6 @@ def cached_spectrum(
     )
 
 
-def _compute_estimate(
-    scheme: BilinearScheme, k: int, policy: str, cache: EngineCache, jobs: int = 1
-) -> ExpansionEstimate:
-    g = cached_dec_graph(scheme, k, cache=cache)
-    n = g.n_vertices
-    d = g.max_degree
-    if policy == "exact" or (policy == "auto" and n <= effective_exact_limit()):
-        h, mask = exact_edge_expansion(g, jobs=jobs)
-        return ExpansionEstimate(
-            lower=h,
-            upper=h,
-            witness_size=int(mask.sum()),
-            witness_boundary=g.edge_boundary_size(mask),
-            degree=d,
-            method="exact",
-        )
-    if policy == "spectral" or (policy == "auto" and n <= AUTO_SPECTRAL_LIMIT):
-        lower, fiedler = cached_spectrum(scheme, k, cache=cache)
-        upper, mask = fiedler_sweep_cut(g, fiedler)
-        method = "spectral+sweep"
-        try:
-            cone_ratio, cone_mask = decode_cone_upper_bound(g, scheme, k)
-        except ValueError:  # graph too small for a feasible cone
-            cone_ratio, cone_mask = math.inf, None
-        if cone_ratio < upper:
-            upper, mask = cone_ratio, cone_mask
-            method = "spectral+cone"
-        return ExpansionEstimate(
-            lower=lower,
-            upper=upper,
-            witness_size=int(mask.sum()),
-            witness_boundary=g.edge_boundary_size(mask),
-            degree=d,
-            method=method,
-        )
-    if policy in ("cone", "auto"):
-        upper, mask = decode_cone_upper_bound(g, scheme, k)
-        return ExpansionEstimate(
-            lower=float("nan"),
-            upper=upper,
-            witness_size=int(mask.sum()),
-            witness_boundary=g.edge_boundary_size(mask),
-            degree=d,
-            method="cone-only",
-        )
-    raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
-
-
 def _encode_estimate(est: ExpansionEstimate) -> dict[str, np.ndarray]:
     iv = est.interval()
     return {
@@ -221,24 +173,16 @@ def cached_estimate(
     cache: EngineCache | None = None,
     jobs: int = 1,
 ) -> ExpansionEstimate:
-    """Two-sided expansion estimate of ``Dec_k C``, cached by (scheme, k, policy).
+    """:func:`~repro.core.expansion.estimate_expansion` of ``Dec_k C``, memoized.
 
-    Policies: ``exact`` (enumeration, up to ``effective_exact_limit()`` vertices —
-    ``Dec_2`` of the ⟨1,2,2⟩-type rectangular schemes now solves exactly
-    under ``auto``), ``spectral`` (Cheeger lower + best of Fiedler sweep /
-    decode cone), ``cone`` (decode-cone upper bound only, NaN lower), and
-    ``auto`` (exact below the enumeration limit, spectral below
-    :data:`AUTO_SPECTRAL_LIMIT`, cone-only beyond).  ``jobs`` shards the
-    exact subset search over processes; it never changes the result, so it
-    is not part of the cache key.
-
-    Every estimate certifies an :class:`~repro.core.certify.ExpansionInterval`
-    (via :meth:`ExpansionEstimate.interval`); the interval's lower bound and
-    provenance tag are stored alongside the raw fields so the artifact is a
-    self-describing certificate.
+    Keyed by (scheme, k, policy), plus the enumeration ceiling for ``auto``;
+    ``auto`` above :data:`AUTO_SPECTRAL_LIMIT` vertices runs ``cone`` (the
+    engine's one cost rule).  The graph and the eigensolve come from
+    :func:`cached_dec_graph` and :func:`cached_spectrum`.  ``jobs`` never
+    changes the result, so it is not part of the key.  The stored artifact
+    also carries the certified interval's lower bound and provenance.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
+    validate_policy(policy)
     scheme = _resolve(scheme)
     cache = cache if cache is not None else default_cache()
     if policy == "auto":
@@ -252,9 +196,18 @@ def cached_estimate(
         )
     else:
         key = cache_key("estimate", scheme, k=k, policy=policy)
+    if policy == "auto" and dec_vertex_count(scheme, k) > AUTO_SPECTRAL_LIMIT:
+        policy = "cone"  # the engine's one cost rule (see AUTO_SPECTRAL_LIMIT)
     return cache.memoize(
         key,
-        lambda: _compute_estimate(scheme, k, policy, cache, jobs=jobs),
+        lambda: estimate_expansion(
+            cached_dec_graph(scheme, k, cache=cache),
+            scheme,
+            k,
+            policy=policy,
+            jobs=jobs,
+            spectrum=lambda: cached_spectrum(scheme, k, cache=cache),
+        ),
         encode=_encode_estimate,
         decode=_decode_estimate,
     )

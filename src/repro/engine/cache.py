@@ -41,7 +41,8 @@ import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -250,9 +251,11 @@ class EngineCache:
         self._object_sizes: dict[str, int] = {}
         self._objects_nbytes = 0
         # One re-entrant lock covers counters and the memory tier; the
-        # per-key locks below serialize whole build cycles instead.
+        # per-key locks below serialize whole build cycles instead, and
+        # ``_key_users`` counts the threads holding or awaiting each one.
         self._lock = threading.RLock()
         self._key_locks: dict[str, threading.Lock] = {}
+        self._key_users: dict[str, int] = {}
 
     @property
     def disk_enabled(self) -> bool:
@@ -313,6 +316,25 @@ class EngineCache:
                 lk = self._key_locks[key] = threading.Lock()
             return lk
 
+    @contextmanager
+    def _building(self, key: str) -> Iterator[None]:
+        """Hold ``key``'s lock; drop its table entry once no thread needs it.
+
+        Without the drop a long-running server would keep one lock per
+        distinct key it ever built.
+        """
+        with self._lock:
+            lk = self.lock(key)
+            self._key_users[key] = self._key_users.get(key, 0) + 1
+        try:
+            with lk:
+                yield
+        finally:
+            with self._lock:
+                self._key_users[key] -= 1
+                if not self._key_users[key]:
+                    del self._key_users[key], self._key_locks[key]
+
     def memoize(
         self,
         key: str,
@@ -334,7 +356,7 @@ class EngineCache:
         obj = self.get_object(key)
         if obj is not None:
             return obj
-        with self.lock(key):
+        with self._building(key):
             with self._lock:
                 obj = self._objects.get(key)
             if obj is not None:

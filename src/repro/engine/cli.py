@@ -23,7 +23,7 @@ import os
 import sys
 from typing import TextIO
 
-from repro.engine.builders import POLICIES
+from repro.core.expansion import POLICIES
 from repro.engine.cache import EngineCache, default_cache
 from repro.engine.grid import GridSpec, run_grid
 from repro.util.jsonutil import jsonable

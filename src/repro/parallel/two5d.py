@@ -94,6 +94,8 @@ class Two5D(ParallelAlgorithm):
     ) -> list[dict]:
         out = []
         for c in sorted(set(cs)):
+            if c < 1:
+                raise ValueError(f"{self.name}: replication factor c={c} must be at least 1")
             for q in range(2, math.isqrt(max(p_max // c, 0)) + 1):
                 if n % q == 0 and q % c == 0 and q * q * c <= p_max:
                     out.append({"p": q * q * c, "c": c})

@@ -23,7 +23,8 @@ from typing import Any
 
 from repro.core.bounds import LG7
 from repro.engine import pool as pool_runtime
-from repro.engine.builders import POLICIES, cached_estimate
+from repro.core.expansion import validate_policy
+from repro.engine.builders import cached_estimate
 from repro.engine.cache import EngineCache, cache_key
 
 __all__ = [
@@ -100,10 +101,17 @@ def _as_names(raw: dict[str, str], name: str, default: str) -> tuple[str, ...]:
     return items
 
 
+def _as_ints(raw: dict[str, str], name: str, default: str) -> tuple[int, ...]:
+    """A comma-separated integer list (range checks belong to the consumer)."""
+    try:
+        return tuple(int(s) for s in _as_names(raw, name, default))
+    except ValueError:
+        raise ValueError(f"parameter {name!r} must be comma-separated integers") from None
+
+
 def _parse_expansion(raw: dict[str, str]) -> dict[str, Any]:
     policy = raw.get("policy", "auto")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
+    validate_policy(policy)
     return {
         "scheme": raw.get("scheme", "strassen"),
         "k": _as_int(raw, "k", 4, 1, MAX_K),
@@ -121,10 +129,7 @@ def _parse_bounds(raw: dict[str, str]) -> dict[str, Any]:
 
 
 def _parse_sweep(raw: dict[str, str]) -> dict[str, Any]:
-    try:
-        memories = tuple(int(m) for m in _as_names(raw, "memories", "48,192"))
-    except ValueError:
-        raise ValueError("parameter 'memories' must be comma-separated integers") from None
+    memories = _as_ints(raw, "memories", "48,192")
     params = {
         "schemes": _as_names(raw, "schemes", "strassen"),
         "k_min": _as_int(raw, "k_min", 1, 1, MAX_K),
@@ -135,8 +140,7 @@ def _parse_sweep(raw: dict[str, str]) -> dict[str, Any]:
     if params["k_min"] > params["k_max"]:
         raise ValueError("k_min must not exceed k_max")
     for policy in params["policies"]:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown estimate policy {policy!r}; choose from {POLICIES}")
+        validate_policy(policy)
     n_points = (
         len(params["schemes"])
         * (params["k_max"] - params["k_min"] + 1)
@@ -149,15 +153,11 @@ def _parse_sweep(raw: dict[str, str]) -> dict[str, Any]:
 
 
 def _parse_scaling(raw: dict[str, str]) -> dict[str, Any]:
-    try:
-        cs = tuple(int(c) for c in _as_names(raw, "cs", "1,2"))
-    except ValueError:
-        raise ValueError("parameter 'cs' must be comma-separated integers") from None
     return {
         "algos": _as_names(raw, "algos", "all"),
         "n": _as_int(raw, "n", 28, 4, 512),
         "p_max": _as_int(raw, "p_max", 16, 1, MAX_SCALING_P),
-        "cs": cs,
+        "cs": _as_ints(raw, "cs", "1,2"),
         "scheme": raw.get("scheme", "strassen"),
     }
 
@@ -165,10 +165,6 @@ def _parse_scaling(raw: dict[str, str]) -> dict[str, Any]:
 def _parse_plan(raw: dict[str, str]) -> dict[str, Any]:
     from repro.topology import Topology
 
-    try:
-        cs = tuple(int(c) for c in _as_names(raw, "cs", "1,2,4"))
-    except ValueError:
-        raise ValueError("parameter 'cs' must be comma-separated integers") from None
     topology = raw.get("topology", "uniform")
     Topology.parse(topology)  # reject malformed specs at the 400 boundary
     return {
@@ -178,7 +174,7 @@ def _parse_plan(raw: dict[str, str]) -> dict[str, Any]:
         # 0 means "no limit" / "topology capacity" — query strings have no null
         "memory_limit": _as_int(raw, "memory_limit", 0, 0, 10**12),
         "p_max": _as_int(raw, "p_max", 0, 0, MAX_PLAN_P),
-        "cs": cs,
+        "cs": _as_ints(raw, "cs", "1,2,4"),
     }
 
 

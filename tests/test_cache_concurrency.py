@@ -215,6 +215,25 @@ class TestSingleFlightThreads:
         assert cache.lock("a") is cache.lock("a")
         assert cache.lock("a") is not cache.lock("b")
 
+    def test_memoize_leaves_no_key_locks_behind(self):
+        # a long-running server memoizes one key per distinct request; the
+        # per-key lock table must not grow with them
+        cache = EngineCache(disk=False)
+        for i in range(50):
+            assert cache.memoize(f"k{i}", lambda i=i: i + 1) == i + 1
+        barrier = threading.Barrier(4)
+
+        def racer():
+            barrier.wait(timeout=5)
+            cache.memoize("shared", lambda: time.sleep(0.05) or "v")
+
+        threads = [threading.Thread(target=racer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert cache._key_locks == {}
+
 
 class TestLruByteCap:
     def test_eviction_is_lru_ordered(self):

@@ -12,15 +12,9 @@ import math
 import pytest
 
 from repro.cdag.strassen_cdag import dec_graph
-from repro.core.certify import (
-    PROVENANCES,
-    ExpansionInterval,
-    certified_interval,
-    interval_from_estimate,
-    provenance_for_method,
-)
-from repro.core.expansion import ExpansionEstimate, estimate_expansion
-from repro.engine.builders import POLICIES, cached_estimate
+from repro.core.certify import METHOD_PROVENANCE, PROVENANCES, ExpansionInterval
+from repro.core.expansion import POLICIES, ExpansionEstimate, estimate_expansion
+from repro.engine.builders import cached_estimate
 from repro.engine.cache import EngineCache
 from repro.engine.grid import GridPoint, evaluate_point
 
@@ -54,6 +48,12 @@ class TestIntervalInvariants:
             ExpansionInterval(lower=0.0, upper=1.0, provenance="vibes")
 
 
+def _estimate(method, lower=0.25, upper=0.5):
+    return ExpansionEstimate(
+        lower=lower, upper=upper, witness_size=2, witness_boundary=3, degree=6, method=method
+    )
+
+
 class TestProvenanceMapping:
     @pytest.mark.parametrize(
         ("method", "tag"),
@@ -65,19 +65,19 @@ class TestProvenanceMapping:
         ],
     )
     def test_method_maps_to_provenance(self, method, tag):
-        assert provenance_for_method(method) == tag
+        assert _estimate(method).interval().provenance == tag
         assert tag in PROVENANCES
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
-            provenance_for_method("oracle")
+            _estimate("oracle").interval()
 
     def test_cone_only_nan_lower_becomes_trivial_zero(self):
         est = ExpansionEstimate(
             lower=math.nan, upper=0.25, witness_size=2,
             witness_boundary=3, degree=6, method="cone-only",
         )
-        iv = interval_from_estimate(est)
+        iv = est.interval()
         assert iv.lower == 0.0 and iv.upper == 0.25 and iv.provenance == "cone"
 
 
@@ -88,7 +88,7 @@ class TestProvenanceMapping:
             lower=2.15e-17, upper=0.0, witness_size=4,
             witness_boundary=0, degree=6, method="spectral+sweep",
         )
-        iv = interval_from_estimate(est)
+        iv = est.interval()
         assert (iv.lower, iv.upper) == (0.0, 0.0)
         assert iv.provenance == "cheeger+sweep"
 
@@ -98,7 +98,7 @@ class TestProvenanceMapping:
             witness_boundary=1, degree=6, method="spectral+sweep",
         )
         with pytest.raises(ValueError, match="empty"):
-            interval_from_estimate(est)
+            est.interval()
 
 
 ZERO_EXPANSION_CASES = [
@@ -132,12 +132,12 @@ class TestEstimatorIntervals:
 
     def test_certified_interval_facade(self):
         g = dec_graph("strassen", 1)
-        iv = certified_interval(g, "strassen", 1)
+        iv = estimate_expansion(g, "strassen", 1).interval()
         assert iv.is_exact and iv.provenance == "exact"
 
     def test_spectral_interval_sandwiches(self):
         g = dec_graph("strassen", 2)  # 105 vertices: beyond exact, spectral runs
-        iv = certified_interval(g, "strassen", 2)
+        iv = estimate_expansion(g, "strassen", 2).interval()
         assert iv.provenance in ("cheeger+sweep", "cheeger+cone")
         assert 0.0 < iv.lower <= iv.upper
 
@@ -148,7 +148,7 @@ class TestEstimatorIntervals:
         est = cached_estimate("strassen", k, policy=policy, cache=cache)
         iv = est.interval()
         assert iv.lower <= iv.upper
-        assert iv.provenance == provenance_for_method(est.method)
+        assert iv.provenance == METHOD_PROVENANCE[est.method]
         if est.method == "exact":
             assert iv.is_exact
         if est.method == "cone-only":

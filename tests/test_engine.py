@@ -4,14 +4,17 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from repro.cdag.schemes import get_scheme
-from repro.cdag.strassen_cdag import dec_graph, h_graph
-from repro.core.expansion import exact_edge_expansion
+from repro.cdag.schemes import available_schemes, classical_scheme, get_scheme
+from repro.cdag.strassen_cdag import dec_graph, dec_vertex_count, h_graph
+from repro.core.exact import effective_exact_limit
+from repro.core.expansion import POLICIES, estimate_expansion, exact_edge_expansion
 from repro.engine import (
+    AUTO_SPECTRAL_LIMIT,
     EngineCache,
     GridPoint,
     GridSpec,
@@ -270,6 +273,54 @@ class TestEstimatePolicies:
         assert cache.stats.hits > hits_before  # same key: served from cache
 
 
+def _ladder_cases():
+    cases = []
+    for name in available_schemes():
+        for k in (1, 2, 3):
+            n = dec_vertex_count(get_scheme(name), k)
+            if n > AUTO_SPECTRAL_LIMIT:
+                continue  # auto turns into cone there (pinned below)
+            for policy in POLICIES:
+                if policy != "exact" or n <= effective_exact_limit():
+                    cases.append((name, k, policy))
+    return cases
+
+
+def _fields(est):
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in astuple(est))
+
+
+class TestOneLadder:
+    """``cached_estimate`` is ``estimate_expansion`` memoized, nothing more."""
+
+    @pytest.mark.parametrize(("scheme", "k", "policy"), _ladder_cases())
+    def test_cached_estimate_is_the_memoized_estimator(self, scheme, k, policy):
+        direct = estimate_expansion(dec_graph(scheme, k), scheme, k, policy=policy)
+        cached = cached_estimate(scheme, k, policy, cache=EngineCache(disk=False))
+        assert _fields(cached) == _fields(direct)
+        assert cached.interval() == direct.interval()
+
+    def test_auto_is_exact_at_the_limit_and_spectral_above(self, monkeypatch):
+        g = dec_graph("strassen", 1)
+        monkeypatch.setenv("REPRO_EXACT_LIMIT", str(g.n_vertices))
+        assert estimate_expansion(g).method == "exact"
+        monkeypatch.setenv("REPRO_EXACT_LIMIT", str(g.n_vertices - 1))
+        assert estimate_expansion(g).method == "spectral+sweep"
+
+    def test_engine_cost_rule_keeps_dec5_cone_only(self):
+        cache = EngineCache(disk=False)
+        est = cached_estimate("strassen", 5, cache=cache)
+        assert est.method == "cone-only" and math.isnan(est.lower)
+        assert cache.stats.builds == 2  # Dec_5 and the estimate; no eigensolve
+
+    def test_spectral_falls_back_to_the_sweep_without_a_feasible_cone(self):
+        one = classical_scheme(1)  # Dec_3 is a 4-vertex path; its one cone is too big
+        g = dec_graph(one, 3)
+        assert estimate_expansion(g, one, 3, policy="spectral").method == "spectral+sweep"
+        with pytest.raises(ValueError, match="no feasible decode cone"):
+            estimate_expansion(g, one, 3, policy="cone")
+
+
 class TestGrid:
     SPEC = GridSpec.from_ranges(
         schemes=("strassen", "winograd"), k_max=3, memories=(48, 192)
@@ -324,6 +375,14 @@ class TestCLI:
         assert main(["schemes"]) == 0
         out = capsys.readouterr().out
         assert "strassen" in out and "winograd" in out
+
+    @pytest.mark.parametrize("command", ["scaling", "plan"])
+    @pytest.mark.parametrize("cs", ["0", "-1"])
+    def test_replication_factor_below_one_exits_2(self, tmp_path, capsys, command, cs):
+        argv = ["--cache-dir", str(tmp_path / "c"), command, "--n", "56", "--cs", "1", cs]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "replication factor" in err
 
     def test_sweep_smoke(self, tmp_path, capsys):
         argv = [

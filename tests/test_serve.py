@@ -209,6 +209,17 @@ class TestEndpoints:
         status, body = _run_with_service(cache, scenario)
         assert status == 400 and "topology" in body["error"]
 
+    @pytest.mark.parametrize("route", ["/scaling?n=28", "/plan?n=56"])
+    @pytest.mark.parametrize("cs", ["0", "-1", "1,0"])
+    def test_replication_factor_below_one_400(self, cache, route, cs):
+        # c = 0 used to divide by zero (500); c < 0 silently dropped every
+        # 2.5D row (200)
+        async def scenario(svc):
+            return await _get(svc, f"{route}&cs={cs}")
+
+        status, body = _run_with_service(cache, scenario)
+        assert status == 400 and "replication factor" in body["error"]
+
     def test_unknown_route_404(self, cache):
         async def scenario(svc):
             return await _get(svc, "/spectra")
