@@ -175,12 +175,32 @@ def _regularized_laplacian(g: CDAG) -> tuple[sp.csr_matrix, int]:
     return L.tocsr(), d
 
 
+# Above this many vertices the shift-invert factorization keeps the CDAG's
+# own level-major vertex order instead of COLAMD's: on Dec_5 (37,851
+# vertices) it leaves 17-40% of COLAMD's fill and factors 4-18x faster.
+# Below it COLAMD stays, because the sweep cut ranks tied Fiedler
+# entries (630 of 715 on strassen Dec_3) by last-ulp rounding, so changing
+# the ordering there would move committed sweep bounds and spectra.
+NATURAL_ORDER_MIN_VERTICES = 1 << 14
+
+
 def _two_smallest_eigs(L: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """The two algebraically smallest eigenpairs of a PSD sparse matrix.
 
-    Shift-invert around a small negative sigma converges fast even when the
-    spectral gap is tiny (it is ~(4/7)^{2k} for deep decode graphs); fall
-    back to plain 'SA' Lanczos if the factorization fails.
+    A size ladder:
+
+    * up to 600 vertices, dense ``eigh``;
+    * then shift-invert Lanczos around a small negative sigma, which
+      converges fast even when the spectral gap is tiny (it is
+      ~(4/7)^{2k} for deep decode graphs).  ``L − σI`` is factored once
+      with ``splu`` in COLAMD order, exactly what ``eigsh(sigma=...)``
+      does internally, so results are bit-identical to it;
+    * above :data:`NATURAL_ORDER_MIN_VERTICES` the factorization keeps
+      the CDAG's level order (``permc_spec="NATURAL"``), which fills far
+      less than COLAMD on decode graphs.
+
+    Falls back to plain 'SA' Lanczos if the factorization or the
+    shift-invert iteration fails.
     """
     n = L.shape[0]
     if n <= 600:
@@ -189,8 +209,14 @@ def _two_smallest_eigs(L: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     # Deterministic start vector: repeat runs (and the engine's parallel
     # workers) must produce identical spectra for cache hits to be exact.
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
+    sigma = -1e-8
+    permc_spec = "NATURAL" if n > NATURAL_ORDER_MIN_VERTICES else "COLAMD"
     try:
-        w, V = spla.eigsh(L, k=2, sigma=-1e-8, which="LM", maxiter=5000, v0=v0)
+        # L is real symmetric CSR, so its transpose is the same matrix in
+        # the CSC layout splu wants, with no conversion pass.
+        lu = spla.splu((L - sigma * sp.eye(n)).T, permc_spec=permc_spec)
+        OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=L.dtype)
+        w, V = spla.eigsh(L, k=2, sigma=sigma, which="LM", maxiter=5000, v0=v0, OPinv=OPinv)
     except (spla.ArpackNoConvergence, np.linalg.LinAlgError, RuntimeError):
         # Shift-invert legitimately fails when the factorization is singular
         # or Lanczos stalls; anything else (bad shapes, dtypes) is a real

@@ -10,8 +10,8 @@ as the constructors produced them.
 :func:`~repro.core.expansion.estimate_expansion`, which owns the policy
 ladder and the certified interval; the engine adds a single cost rule:
 ``auto`` above :data:`AUTO_SPECTRAL_LIMIT` vertices runs the ``cone``
-policy, because the eigensolve it would otherwise start costs seconds per
-graph at ``Dec_5`` scale.
+policy, because the eigensolve it would otherwise start costs about a
+second per graph at ``Dec_5`` scale.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 #: Under the "auto" policy, graphs larger than this skip the eigensolve and
-#: fall back to the decode-cone upper bound (a Dec_5 eigensolve takes about
-#: 12 s; the cone witness is the quantity the decay fits use anyway).
+#: fall back to the decode-cone upper bound (a Dec_5 eigensolve still takes
+#: about 1 s; the cone witness is the quantity the decay fits use anyway).
 AUTO_SPECTRAL_LIMIT = 10_000
 
 

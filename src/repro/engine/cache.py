@@ -82,6 +82,10 @@ __all__ = [
 #: the new kind ``"plan"`` stores ranked plan tables keyed by topology
 #: cache tokens; pre-planner scaling entries must not be replayed into the
 #: topology-costed pipeline.
+#: v8: graphs above ``NATURAL_ORDER_MIN_VERTICES`` (``Dec_5`` scale) factor
+#: the shift-invert Laplacian in the CDAG's level order, so their stored
+#: spectra (and the estimates built on them) differ from a v7 build in the
+#: last ulps; a warm v7 entry is no longer what a cold build returns.
 #:
 #: Numeric-key normalization (PR 7) deliberately did NOT bump the version:
 #: normalized keys are byte-identical to the keys plain-Python (and
@@ -90,7 +94,7 @@ __all__ = [
 #: scalars created via ``repr(np.float64(1.5)) == 'np.float64(1.5)'`` — those
 #: held the same artifact content as their canonical twins, so leaving them
 #: unreachable cannot serve a stale result.
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 

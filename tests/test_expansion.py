@@ -171,6 +171,76 @@ class TestEigsExceptionHandling:
         assert w[0] <= w[1]
         assert V.shape[1] == 2
 
+    def test_singular_factorization_falls_back(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+        from repro.core.expansion import _two_smallest_eigs
+
+        real_eigsh = spla.eigsh
+        calls = []
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        def recording(L, *args, **kwargs):
+            calls.append(kwargs)
+            return real_eigsh(L, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", singular)
+        monkeypatch.setattr(spla, "eigsh", recording)
+        w, V = _two_smallest_eigs(self._big_laplacian())
+        # the factorization failed before any shift-invert iteration ran
+        assert [c.get("which") for c in calls] == ["SA"]
+        assert w[0] <= w[1]
+        assert V.shape[1] == 2
+
+    def test_factorization_programming_errors_propagate(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+        from repro.core.expansion import _two_smallest_eigs
+
+        def boom(*args, **kwargs):
+            raise ValueError("matrix must be square")
+
+        monkeypatch.setattr(spla, "splu", boom)
+        with pytest.raises(ValueError, match="must be square"):
+            _two_smallest_eigs(self._big_laplacian())
+
+
+class TestShiftInvertOrdering:
+    """The sparse eigensolve factors ``L − σI`` itself: COLAMD below
+    ``NATURAL_ORDER_MIN_VERTICES`` (bit-identical to ``eigsh(sigma=...)``),
+    the CDAG's level order above it."""
+
+    @pytest.mark.parametrize("scheme,k", [("strassen", 3), ("winograd", 4)])
+    def test_below_gate_bit_identical_to_eigsh(self, scheme, k):
+        import scipy.sparse.linalg as spla
+        from repro.core.expansion import (
+            NATURAL_ORDER_MIN_VERTICES,
+            _regularized_laplacian,
+            _two_smallest_eigs,
+        )
+
+        L, _ = _regularized_laplacian(dec_graph(scheme, k))
+        n = L.shape[0]
+        assert 600 < n <= NATURAL_ORDER_MIN_VERTICES
+        v0 = np.random.default_rng(0x5EED).standard_normal(n)
+        w_ref, V_ref = spla.eigsh(L, k=2, sigma=-1e-8, which="LM", maxiter=5000, v0=v0)
+        order = np.argsort(w_ref)
+        w, V = _two_smallest_eigs(L)
+        assert np.array_equal(w, w_ref[order])
+        assert np.array_equal(V, V_ref[:, order])
+
+    def test_dec5_level_order_matches_reference(self):
+        # The values perfbench/reference.json commits for strassen Dec_5.
+        from repro.core.expansion import NATURAL_ORDER_MIN_VERTICES
+
+        g = dec_graph("strassen", 5)
+        assert g.n_vertices > NATURAL_ORDER_MIN_VERTICES
+        lower, fiedler = spectral_lower_bound(g)
+        upper, mask = fiedler_sweep_cut(g, fiedler)
+        assert lower == pytest.approx(0.0017077561776256392, rel=1e-9)
+        assert upper == pytest.approx(0.007980547415674295, rel=1e-9)
+        assert upper == expansion_of_cut(g, mask)
+
 
 class TestCutEvaluation:
     def test_empty_cut_rejected(self, diamond_graph):
