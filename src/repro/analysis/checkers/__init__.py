@@ -11,8 +11,8 @@ RC102    cache-version-pin      result-producing modules may not change
                                 without a ``CACHE_VERSION`` bump or re-pin
 RC201    registry-parallel      ``@register_parallel`` classes declare
                                 validity + analytic-cost contracts
-RC202    registry-bench         ``@register_bench`` workloads declare quick
-                                param sets and a scalar ``check`` payload
+RC202    registry-bench         ``@register_bench`` workloads return a
+                                scalar ``check`` payload
 RC203    registry-pure-cost     pure-cost methods of registered parallel
                                 algorithms never touch numpy or ``Machine``
 RC301    strict-json            no raw ``json.dump(s)`` on non-literal

@@ -9,10 +9,8 @@ on registry entries actually *declaring* their contracts:
   (``analytic_costs``), its superstep kernel (``_execute``), and a
   registry ``name``.  A registered algorithm without declared costs
   silently drops out of the bound-attainment comparison.
-* **RC202** — every ``@register_bench`` workload with tunable ``params``
-  must also declare ``quick_params`` (an explicit ``{}`` documents "quick
-  deliberately equals full"), and every dict-literal return of the
-  workload must carry the scalar ``"check"`` payload the CI comparison
+* **RC202** — every return of a ``@register_bench`` workload must be a
+  dict literal carrying the scalar ``"check"`` payload the CI comparison
   gate pins.
 * **RC203** — the planner-facing cost surface (``estimate`` /
   ``analytic_costs`` / ``analytic_flops`` / ``validate`` /
@@ -116,13 +114,6 @@ class ParallelContractChecker(Checker):
                 )
 
 
-def _keyword(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
 def _dict_literal_keys(node: ast.expr) -> set[str] | None:
     """String keys of a dict display, or None when not a plain dict literal."""
     if not isinstance(node, ast.Dict):
@@ -161,38 +152,18 @@ def _direct_returns(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Re
 
 @register_checker
 class BenchContractChecker(Checker):
-    """RC202: ``@register_bench`` workloads declare quick params and checks."""
+    """RC202: ``@register_bench`` workloads return a pinned ``check`` payload."""
 
     name = "registry-bench"
     code = "RC202"
-    description = (
-        "@register_bench workloads with params must declare quick_params, "
-        "and must return a dict literal carrying a 'check' entry"
-    )
+    description = "@register_bench workloads must return a dict literal carrying a 'check' entry"
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            call = decorator_call(node, "register_bench")
-            if call is None:
+            if decorator_call(node, "register_bench") is None:
                 continue
-            params = _keyword(call, "params")
-            quick = _keyword(call, "quick_params")
-            has_params = params is not None and not (
-                isinstance(params, ast.Dict) and not params.keys
-            )
-            if has_params and quick is None:
-                yield self.finding(
-                    module,
-                    call.lineno,
-                    f"bench workload {node.name!r} declares params but no "
-                    "quick_params",
-                    fix_hint=(
-                        "add quick_params (an explicit {} documents that the "
-                        "quick set deliberately equals the full set)"
-                    ),
-                )
             for ret in _direct_returns(node):
                 if ret.value is None:
                     yield self.finding(

@@ -2,21 +2,25 @@
 
 This module makes the benchmark workloads first-class objects, mirroring
 the parallel-algorithm registry: a :func:`register_bench` decorator
-collects named workloads (CDAG builds, spectral/exact expansion,
-sequential-IO sweeps, cold/warm grid sweeps, the strong-scaling sweep), one
-harness times them, and the result is a machine-readable
+collects named workloads (exact expansion, sequential-IO sweeps, the cold
+grid sweep, the worker pool, Table I and CAPS costs, the serve load test),
+one harness times them, and the result is a machine-readable
 ``BENCH_<tag>.json`` that ``python -m repro bench --compare`` can gate
 regressions against — timings within a threshold, each workload's
 ``check`` block exactly.
 
-``BENCH_*.json`` schema (``BENCH_SCHEMA_VERSION = 3``)
+Each workload has one parameter set, sized so its wall time sits well
+above a shared runner's noise floor; every timed round gets a fresh
+memory-only engine cache.  Full-scale timing is perfbench's job, not this
+module's.
+
+``BENCH_*.json`` schema (``BENCH_SCHEMA_VERSION = 4``)
 ------------------------------------------------------
 
 Top level::
 
     schema_version   int    — this format's version (bump on shape changes)
     tag              str    — run label ("ci", "local", a commit sha, ...)
-    quick            bool   — whether --quick parameter sets were used
     created_unix     float  — time.time() at run start
     host             object — platform fingerprint:
         platform, machine, python, numpy, scipy, cpus
@@ -24,22 +28,18 @@ Top level::
 
 Per workload::
 
-    group            str    — registry group (cdag | expansion | io |
-                              engine | parallel | serve)
     params           object — the exact parameter set the run used
-    rounds           int    — number of *timed* rounds
-    warmup           bool   — one untimed warm-up call ran first
-    cold             bool   — every round saw a fresh (empty) engine cache
+    rounds           int    — number of timed rounds
     seconds          object — wall-clock stats over the timed rounds:
         raw (list, round order), min, max, mean, p50, p90
     peak_rss_kb      int    — process high-water RSS after the workload
                               (ru_maxrss; monotone across the process, so
                               comparable only within one run's ordering)
-    cache            object — engine-cache counter increments during the
-                              timed rounds: hits, misses, stores, builds,
-                              disk_errors, evictions (v2: two new counters)
+    cache            object — engine-cache counter increments summed over
+                              the timed rounds: hits, misses, stores,
+                              builds, disk_errors, evictions
     pool             object — worker-pool counter increments during the
-                              timed rounds (v3; see ``repro.engine.pool``):
+                              timed rounds (see ``repro.engine.pool``):
                               pool_starts, workers_spawned, tasks_dispatched,
                               warm_dispatches, respawns, serial_tasks
     metrics          object — optional workload-reported numbers (the serve
@@ -52,8 +52,8 @@ Per workload::
                               results must not.
 
 Regression gating: :func:`compare_benchmarks` joins two such documents on
-workload name and flags ``current.seconds[metric] / baseline.seconds[metric]
-> threshold`` as a regression (and check-value drift as a mismatch); the CLI
+workload name and flags ``current.seconds.min / baseline.seconds.min >
+threshold`` as a regression (and check-value drift as a mismatch); the CLI
 exits non-zero when any gate fails.
 """
 
@@ -75,7 +75,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:
-    from repro.engine.grid import GridReport, GridSpec
+    from repro.engine.grid import GridSpec
 
 import numpy as np
 
@@ -91,7 +91,6 @@ __all__ = [
     "register_bench",
     "get_bench",
     "available_benches",
-    "bench_groups",
     "selected_benches",
     "run_bench",
     "run_suite",
@@ -108,10 +107,10 @@ __all__ = [
 #: object (the serve load test's throughput/latency numbers).
 #: v3: every workload record carries a ``pool`` block — the shared
 #: worker-pool runtime's counter increments over the timed rounds.
-BENCH_SCHEMA_VERSION = 3
-
-#: The groups a workload may declare, in display order.
-BENCH_GROUPS = ("cdag", "expansion", "io", "engine", "parallel", "serve")
+#: v4: one parameter set per workload and a fresh cache every round: the
+#: top-level ``quick`` and the per-workload ``group``, ``warmup`` and
+#: ``cold`` fields are gone.
+BENCH_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -120,27 +119,14 @@ class BenchWorkload:
 
     ``func(cache, **params)`` must be deterministic and return a payload
     dict containing at least ``"check"`` (scalar science outputs; see the
-    schema notes above).  ``cold`` workloads get a fresh engine cache every
-    round; ``warmup`` workloads get one untimed call first, so the timed
-    rounds measure the steady (warm-cache) path.
+    schema notes above).
     """
 
     name: str
-    group: str
     description: str
     func: Callable[..., dict]
     params: dict[str, Any] = field(default_factory=dict)
-    quick_params: dict[str, Any] = field(default_factory=dict)
-    rounds: int = 3
-    quick_rounds: int = 2
-    warmup: bool = False
-    cold: bool = False
-
-    def resolve_params(self, quick: bool = False) -> dict[str, Any]:
-        """The parameter set a run uses: quick overrides layered on full."""
-        if not quick:
-            return dict(self.params)
-        return {**self.params, **self.quick_params}
+    rounds: int = 2
 
 
 _BENCHES: dict[str, BenchWorkload] = {}
@@ -148,22 +134,15 @@ _BENCHES: dict[str, BenchWorkload] = {}
 
 def register_bench(
     name: str,
-    group: str,
     *,
     params: dict[str, Any] | None = None,
-    quick_params: dict[str, Any] | None = None,
-    rounds: int = 3,
-    quick_rounds: int = 2,
-    warmup: bool = False,
-    cold: bool = False,
+    rounds: int = 2,
 ) -> Callable[[Callable[..., dict]], Callable[..., dict]]:
     """Class-less registry decorator (mirrors ``@register_parallel``).
 
     The decorated function keeps working as a plain function; the registry
-    entry wraps it with its canonical parameters and harness flags.
+    entry wraps it with its parameters and timed-round count.
     """
-    if group not in BENCH_GROUPS:
-        raise ValueError(f"unknown bench group {group!r}; choose from {BENCH_GROUPS}")
 
     def deco(func: Callable[..., dict]) -> Callable[..., dict]:
         if name in _BENCHES:
@@ -171,15 +150,10 @@ def register_bench(
         doc = (func.__doc__ or "").strip().splitlines()
         _BENCHES[name] = BenchWorkload(
             name=name,
-            group=group,
             description=doc[0] if doc else name,
             func=func,
             params=dict(params or {}),
-            quick_params=dict(quick_params or {}),
             rounds=rounds,
-            quick_rounds=quick_rounds,
-            warmup=warmup,
-            cold=cold,
         )
         return func
 
@@ -202,22 +176,12 @@ def available_benches() -> list[str]:
     return list(_BENCHES)
 
 
-def bench_groups() -> dict[str, list[str]]:
-    """Workload names keyed by group, groups in display order."""
-    out: dict[str, list[str]] = {g: [] for g in BENCH_GROUPS}
-    for name, w in _BENCHES.items():
-        out[w.group].append(name)
-    return {g: names for g, names in out.items() if names}
-
-
-def selected_benches(names: list[str] | None = None, quick: bool = False) -> list[str]:
+def selected_benches(names: list[str] | None = None) -> list[str]:
     """The workloads a run executes, in deterministic (registration) order.
 
-    ``--quick`` changes *parameters*, never membership, so a quick CI run
-    and a full local run always cover the same workload set; an explicit
-    ``names`` list is validated and re-ordered to registry order.
+    An explicit ``names`` list is validated and re-ordered to registry
+    order.
     """
-    del quick  # selection is quick-invariant by design (tests pin this)
     if names is None:
         return available_benches()
     unknown = [n for n in names if n not in _BENCHES]
@@ -257,56 +221,36 @@ def _seconds_stats(raw: list[float]) -> dict[str, Any]:
     }
 
 
-def run_bench(
-    name: str,
-    quick: bool = False,
-    rounds: int | None = None,
-) -> dict:
+def run_bench(name: str, rounds: int | None = None) -> dict:
     """Time one workload and return its per-workload JSON record.
 
-    Cold workloads see a fresh memory-only :class:`EngineCache` every
-    round; everything else shares one per-run cache (populated by the
-    warm-up call when ``warmup`` is set).  Cache counters are reset after
-    warm-up so the reported hits/misses/builds cover exactly the timed
-    rounds — the reason :meth:`EngineCache.reset_stats` exists.
+    Every round sees a fresh memory-only :class:`EngineCache`, and the
+    record's cache counters are summed over the timed rounds.
     """
     w = get_bench(name)
-    params = w.resolve_params(quick)
-    n_rounds = rounds if rounds is not None else (w.quick_rounds if quick else w.rounds)
+    n_rounds = rounds if rounds is not None else w.rounds
     if n_rounds < 1:
         raise ValueError("need at least one timed round")
 
-    cache = EngineCache(disk=False)
-    if w.warmup:
-        w.func(cache, **params)
-    cache.reset_stats()
     pool_before = pool_runtime.pool_stats_snapshot()
-
     raw: list[float] = []
     payload: dict = {}
     # Initialize from the dataclass so new CacheStats counters are summed
     # (not KeyError'd) the day they are added.
     cache_stats = CacheStats().as_dict()
     for _ in range(n_rounds):
-        if w.cold:
-            cache = EngineCache(disk=False)
+        cache = EngineCache(disk=False)
         t0 = time.perf_counter()
-        payload = w.func(cache, **params)
+        payload = w.func(cache, **w.params)
         raw.append(time.perf_counter() - t0)
-        if w.cold:
-            for key, value in cache.stats.as_dict().items():
-                cache_stats[key] += value
-    if not w.cold:
-        cache_stats = cache.stats.as_dict()
+        for key, value in cache.stats.as_dict().items():
+            cache_stats[key] += value
 
     if not isinstance(payload, dict) or "check" not in payload:
         raise TypeError(f"workload {name!r} must return a dict payload with a 'check' key")
     record = {
-        "group": w.group,
-        "params": _jsonable(params),
+        "params": _jsonable(w.params),
         "rounds": n_rounds,
-        "warmup": w.warmup,
-        "cold": w.cold,
         "seconds": _seconds_stats(raw),
         "peak_rss_kb": _peak_rss_kb(),
         "cache": cache_stats,
@@ -340,7 +284,6 @@ def host_fingerprint() -> dict[str, Any]:
 
 def run_suite(
     names: list[str] | None = None,
-    quick: bool = False,
     rounds: int | None = None,
     tag: str = "local",
     progress: Callable[[str], None] | None = None,
@@ -349,15 +292,14 @@ def run_suite(
     doc: dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "tag": tag,
-        "quick": bool(quick),
         "created_unix": time.time(),
         "host": host_fingerprint(),
         "workloads": {},
     }
-    for name in selected_benches(names, quick=quick):
+    for name in selected_benches(names):
         if progress is not None:
             progress(name)
-        doc["workloads"][name] = run_bench(name, quick=quick, rounds=rounds)
+        doc["workloads"][name] = run_bench(name, rounds=rounds)
     return doc
 
 
@@ -369,7 +311,13 @@ def write_bench_file(doc: dict, path: str | Path) -> Path:
 
 
 def load_bench_file(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    """Read a BENCH document; any unreadable or malformed file is a ValueError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read bench file {path}: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("workloads"), dict):
+        raise ValueError(f"bench file {path} is not a BENCH document (no 'workloads' object)")
     version = doc.get("schema_version")
     if version != BENCH_SCHEMA_VERSION:
         raise ValueError(
@@ -403,7 +351,6 @@ class BenchComparison:
 
     rows: tuple[ComparisonRow, ...]
     threshold: float
-    metric: str
 
     @property
     def regressions(self) -> list[ComparisonRow]:
@@ -420,17 +367,14 @@ class BenchComparison:
         ("params_differ")."""
         return [r for r in self.rows if r.status in ("missing", "params_differ")]
 
-    def failed(self, strict_checks: bool = True) -> bool:
+    def failed(self) -> bool:
         """Whether the comparison should gate (non-zero exit).
 
-        Regressions always gate.  Under ``strict_checks`` (the default),
-        check-value drift gates too, and so do ungated rows — otherwise a
-        params tweak or a dropped workload would silently disable its own
-        perf and science gates while CI stays green.
+        Regressions, check-value drift and ungated rows all gate —
+        otherwise a params tweak or a dropped workload would silently
+        disable its own perf and science gates while CI stays green.
         """
-        if self.regressions:
-            return True
-        return strict_checks and bool(self.check_mismatches or self.ungated)
+        return bool(self.regressions or self.check_mismatches or self.ungated)
 
 
 def _checks_equal(a: Any, b: Any, rel_tol: float) -> bool:
@@ -452,20 +396,19 @@ def compare_benchmarks(
     current: dict,
     baseline: dict,
     threshold: float = 1.5,
-    metric: str = "min",
     check_rel_tol: float = 1e-4,
 ) -> BenchComparison:
     """Join two BENCH documents and flag regressions and check drift.
 
-    ``metric`` names a field of the per-workload ``seconds`` record ("min"
-    is the least noisy on shared CI runners).  A workload regresses when
-    ``current/baseline > threshold``; it is reported "improved" below
-    ``1/threshold``.  ``check`` values must agree to ``check_rel_tol``
-    (relative; integers exactly) — timings may drift, science must not.
-    Workloads run with different parameter sets (a --quick run against a
-    full baseline) are reported ``params_differ``; they and ``missing``
-    rows fail :meth:`BenchComparison.failed` unless strict checks are
-    relaxed, because an uncomparable workload is an unenforced gate.
+    Timings compare on ``seconds.min``, the least noisy statistic on shared
+    CI runners.  A workload regresses when ``current/baseline > threshold``;
+    it is reported "improved" below ``1/threshold``.  ``check`` values must
+    agree to ``check_rel_tol`` (relative; integers exactly) — timings may
+    drift, science must not.  Workloads run with different parameter sets
+    (a baseline edited out of step with the registry) are reported
+    ``params_differ``; they and ``missing`` rows fail
+    :meth:`BenchComparison.failed`, because an uncomparable workload is an
+    unenforced gate.
     """
     if threshold <= 1.0:
         raise ValueError("threshold must exceed 1.0 (it is a slowdown ratio)")
@@ -485,15 +428,11 @@ def compare_benchmarks(
             # timings nor the check values are comparable.  Report it
             # instead of misdiagnosing the inevitable check drift.
             rows.append(
-                ComparisonRow(
-                    name,
-                    "params_differ",
-                    detail="parameter sets differ (quick vs full run?); not compared",
-                )
+                ComparisonRow(name, "params_differ", detail="parameter sets differ; not compared")
             )
             continue
-        c_sec = float(c["seconds"][metric])
-        b_sec = float(b["seconds"][metric])
+        c_sec = float(c["seconds"]["min"])
+        b_sec = float(b["seconds"]["min"])
         ratio = c_sec / b_sec if b_sec > 0 else math.inf
         if not _checks_equal(c.get("check"), b.get("check"), check_rel_tol):
             status, detail = "check_mismatch", "science outputs differ from baseline"
@@ -513,13 +452,13 @@ def compare_benchmarks(
                 detail=detail,
             )
         )
-    return BenchComparison(rows=tuple(rows), threshold=threshold, metric=metric)
+    return BenchComparison(rows=tuple(rows), threshold=threshold)
 
 
 def render_comparison(cmp: BenchComparison) -> str:
     """Human-readable comparison table (the CLI prints this)."""
     lines = [
-        f"bench comparison (metric={cmp.metric}, threshold={cmp.threshold:.2f}x)",
+        f"bench comparison (seconds.min, threshold={cmp.threshold:.2f}x)",
         f"{'workload':24s} {'status':15s} {'current':>10s} {'baseline':>10s} {'ratio':>7s}",
     ]
     for r in cmp.rows:
@@ -547,92 +486,7 @@ def render_comparison(cmp: BenchComparison) -> str:
 # comparison gate pins.
 
 
-@register_bench(
-    "cdag_build",
-    "cdag",
-    params={"scheme": "strassen", "k": 6},
-    quick_params={"k": 5},
-    rounds=5,
-    quick_rounds=3,
-)
-def _bench_cdag_build(cache: EngineCache, scheme: str, k: int) -> dict:
-    """Cold construction of Dec_k C and H_k (the vectorized decode wiring)."""
-    from repro.cdag.strassen_cdag import dec_graph, h_graph
-
-    del cache  # pure construction; the cache layer is benched separately
-    g = dec_graph(scheme, k)
-    hg = h_graph(scheme, k)
-    return {
-        "check": {
-            "dec_V": g.n_vertices,
-            "dec_E": g.n_edges,
-            "h_V": hg.cdag.n_vertices,
-            "h_E": hg.cdag.n_edges,
-        },
-    }
-
-
-@register_bench(
-    "cdag_structure",
-    "cdag",
-    params={"scheme": "strassen", "k": 5},
-    quick_params={"k": 4},
-    warmup=True,
-)
-def _bench_cdag_structure(cache: EngineCache, scheme: str, k: int) -> dict:
-    """Figure 2/3 structural reports and the Dec_1 connectivity dichotomy."""
-    from repro.experiments.structure_exp import (
-        dec1_connectivity_table,
-        figure2_report,
-        figure3_tree_report,
-    )
-
-    fig2 = figure2_report(scheme, k, cache=cache)
-    fig3 = figure3_tree_report(scheme, k, cache=cache)
-    connectivity = dec1_connectivity_table(cache=cache)
-    return {
-        "check": {
-            "dec1_V": fig2["dec1"]["V"],
-            "deck_max_degree": fig2["deck"]["max_degree"],
-            "hk_n_mults": fig2["hk"]["n_mults"],
-            "partition_ok": fig3["partition_ok"],
-            "connected": {r["scheme"]: r["dec1_connected"] for r in connectivity},
-        },
-    }
-
-
-@register_bench("expansion_exact", "expansion")
-def _bench_expansion_exact(cache: EngineCache) -> dict:
-    """Exact edge-expansion enumeration on the largest feasible CDAGs."""
-    from repro.cdag.classical_cdag import classical_matmul_cdag
-    from repro.cdag.strassen_cdag import dec1_graph
-    from repro.core.expansion import exact_edge_expansion, exact_small_set_expansion
-
-    del cache
-    g_cl = classical_matmul_cdag(2)  # 20 vertices: ~1M subsets enumerated
-    h_cl, _ = exact_edge_expansion(g_cl)
-    g_dec = dec1_graph("strassen")
-    h_dec, _ = exact_edge_expansion(g_dec)
-    h_small = exact_small_set_expansion(g_dec, 3)
-    return {
-        "check": {
-            "h_classical2": h_cl,
-            "h_dec1": h_dec,
-            "h_dec1_s3": h_small,
-            "V_classical2": g_cl.n_vertices,
-        },
-    }
-
-
-@register_bench(
-    "exact_v2",
-    "expansion",
-    params={"n_head": 22, "n_deep": 26, "dec2_scheme": "classical122"},
-    quick_params={},
-    rounds=3,
-    quick_rounds=2,
-    cold=True,
-)
+@register_bench("exact_v2", params={"n_head": 22, "n_deep": 26, "dec2_scheme": "classical122"})
 def _bench_exact_v2(cache: EngineCache, n_head: int, n_deep: int, dec2_scheme: str) -> dict:
     """Exact-expansion engine v2: bitset/Gray enumeration at the raised limit.
 
@@ -663,145 +517,8 @@ def _bench_exact_v2(cache: EngineCache, n_head: int, n_deep: int, dec2_scheme: s
 
 
 @register_bench(
-    "small_set_exact",
-    "expansion",
-    params={"n": 40, "s_max": 3},
-    quick_params={},
-)
-def _bench_small_set_exact(cache: EngineCache, n: int, s_max: int) -> dict:
-    """Size-restricted exact h_s walk far beyond the full-enumeration limit."""
-    from repro.cdag.build import layered_circulant_cdag
-    from repro.core.expansion import exact_small_set_expansion
-
-    del cache
-    g = layered_circulant_cdag(n)
-    hs = [exact_small_set_expansion(g, s) for s in range(1, s_max + 1)]
-    return {
-        "check": {
-            "V": g.n_vertices,
-            "h_s": hs,
-        },
-    }
-
-
-@register_bench(
-    "exact_native",
-    "expansion",
-    params={"n": 28, "jobs": 1},
-    quick_params={"n": 24},
-    rounds=3,
-    quick_rounds=2,
-    cold=True,
-)
-def _bench_exact_native(cache: EngineCache, n: int, jobs: int) -> dict:
-    """The native C kernel on the bench circulant (the tentpole hot path).
-
-    Explicitly requests ``backend="native"`` so the timing row measures the
-    compiled kernel; when the build is unavailable (``REPRO_NATIVE=0`` legs)
-    the workload degrades to the bitset backend — the ``h`` value is
-    bit-identical either way, so check comparison across legs still passes.
-    """
-    from repro.cdag.build import layered_circulant_cdag
-    from repro.core.exact import exact_edge_expansion_v2, native_backend_available
-
-    del cache
-    g = layered_circulant_cdag(n)
-    backend = "native" if native_backend_available() else "bitset"
-    h, mask = exact_edge_expansion_v2(g, backend=backend, jobs=jobs)
-    return {
-        "check": {
-            "V": g.n_vertices,
-            "h": h,
-            "witness": int(mask.sum()),
-        },
-    }
-
-
-@register_bench(
-    "certify_interval",
-    "expansion",
-    params={"scheme": "strassen", "k_max": 3},
-    quick_params={"k_max": 2},
-    cold=True,
-)
-def _bench_certify_interval(cache: EngineCache, scheme: str, k_max: int) -> dict:
-    """Certified-interval pipeline down the auto-policy method ladder.
-
-    One ``cached_estimate(...).interval()`` per depth: exact at k=1, then
-    Cheeger + witness cuts — the end-to-end cost of producing the
-    ``(lower, upper, provenance)`` certificates the engine rows now carry.
-    """
-    from repro.engine.builders import cached_estimate
-
-    rows = []
-    for k in range(1, k_max + 1):
-        iv = cached_estimate(scheme, k, policy="auto", cache=cache).interval()
-        rows.append(
-            {"k": k, "lower": iv.lower, "upper": iv.upper, "provenance": iv.provenance}
-        )
-    return {
-        "check": {
-            "provenances": [r["provenance"] for r in rows],
-            "uppers": [r["upper"] for r in rows],
-            "lowers": [r["lower"] for r in rows],
-        },
-    }
-
-
-@register_bench(
-    "expansion_spectral",
-    "expansion",
-    params={"scheme": "strassen", "k": 4},
-    quick_params={"k": 3},
-    cold=True,
-)
-def _bench_expansion_spectral(cache: EngineCache, scheme: str, k: int) -> dict:
-    """Cold spectral sandwich of h(Dec_k C): build + eigensolve + cuts."""
-    from repro.engine.builders import cached_estimate
-
-    est = cached_estimate(scheme, k, policy="spectral", cache=cache)
-    return {
-        "check": {
-            "lower": est.lower,
-            "upper": est.upper,
-            "witness_size": est.witness_size,
-            "method": est.method,
-        },
-    }
-
-
-@register_bench(
-    "expansion_decay",
-    "expansion",
-    params={"scheme": "strassen", "k_max": 5, "spectral_upto": 4},
-    quick_params={"k_max": 4, "spectral_upto": 3},
-    warmup=True,
-)
-def _bench_expansion_decay(
-    cache: EngineCache,
-    scheme: str,
-    k_max: int,
-    spectral_upto: int,
-) -> dict:
-    """Warm Lemma 4.3 decay sweep plus the small-set cone profile."""
-    from repro.experiments.expansion_exp import expansion_decay, small_set_profile
-
-    decay = expansion_decay(scheme, k_max=k_max, spectral_upto=spectral_upto, cache=cache)
-    small = small_set_profile(scheme, k=k_max, cache=cache)
-    return {
-        "check": {
-            "uppers": [r["upper"] for r in decay["rows"]],
-            "expected_decay": decay["expected_decay"],
-            "small_set_hs": [r["h_of_cut"] for r in small["rows"]],
-        },
-    }
-
-
-@register_bench(
     "seq_io_sweep",
-    "io",
-    params={"scheme": "strassen", "M": 192, "t_max": 9, "simulate_upto": 256},
-    quick_params={"t_max": 8, "simulate_upto": 128},
+    params={"scheme": "strassen", "M": 192, "t_max": 8, "simulate_upto": 128},
 )
 def _bench_seq_io_sweep(
     cache: EngineCache, scheme: str, M: int, t_max: int, simulate_upto: int
@@ -819,12 +536,7 @@ def _bench_seq_io_sweep(
     }
 
 
-@register_bench(
-    "seq_io_models",
-    "io",
-    params={"n_m_sweep": 4096, "omega_depth": 9, "hybrid_levels": 6},
-    quick_params={},
-)
+@register_bench("seq_io_models", params={"n_m_sweep": 4096, "omega_depth": 9, "hybrid_levels": 6})
 def _bench_seq_io_models(
     cache: EngineCache,
     n_m_sweep: int,
@@ -866,12 +578,7 @@ def _bench_seq_io_models(
     }
 
 
-@register_bench(
-    "seq_io_simulate",
-    "io",
-    params={"n": 256, "M": 192, "scheme": "strassen"},
-    quick_params={"n": 128},
-)
+@register_bench("seq_io_simulate", params={"n": 128, "M": 192, "scheme": "strassen"})
 def _bench_seq_io_simulate(cache: EngineCache, n: int, M: int, scheme: str) -> dict:
     """Full FastMemory simulation of one depth-first run (no model shortcut)."""
     from repro.algorithms.io_strassen import dfs_io
@@ -887,12 +594,7 @@ def _bench_seq_io_simulate(cache: EngineCache, n: int, M: int, scheme: str) -> d
     }
 
 
-@register_bench(
-    "partition_bound",
-    "io",
-    params={"deep": True},
-    quick_params={"deep": False},
-)
+@register_bench("partition_bound", params={"deep": False})
 def _bench_partition_bound(cache: EngineCache, deep: bool) -> dict:
     """Eq. 6 partition bounds vs Belady-scheduled I/O on real CDAGs."""
     from repro.cdag.classical_cdag import classical_matmul_cdag, matvec_cdag
@@ -949,27 +651,6 @@ def _bench_partition_bound(cache: EngineCache, deep: bool) -> dict:
     }
 
 
-@register_bench(
-    "latency",
-    "io",
-    params={"M": 768, "ns": (128, 256, 512, 1024), "n_parallel": 64},
-    quick_params={"ns": (128, 256, 512)},
-)
-def _bench_latency(cache: EngineCache, M: int, ns: Sequence[int], n_parallel: int) -> dict:
-    """Footnote 8: message counts vs bandwidth-bound/M, both machine models."""
-    from repro.experiments.latency_exp import parallel_latency, sequential_latency
-
-    del cache
-    seq = sequential_latency("strassen", M=M, ns=tuple(ns))
-    par = parallel_latency(n=n_parallel)
-    return {
-        "check": {
-            "seq_messages": [r["measured_messages"] for r in seq["rows"]],
-            "par_messages": [r["measured_messages"] for r in par["rows"]],
-        },
-    }
-
-
 _GRID_MEMORIES = (48, 192, 768, 3072)
 
 
@@ -979,56 +660,27 @@ def _grid_spec(schemes: Sequence[str], k_max: int) -> GridSpec:
     return GridSpec.from_ranges(schemes=schemes, k_max=k_max, memories=_GRID_MEMORIES)
 
 
-def _grid_check(report: GridReport) -> dict:
-    last = report.rows[-1]
-    return {
-        "points": len(report.rows),
-        "V_total": sum(r["V"] for r in report.rows),
-        "E_total": sum(r["E"] for r in report.rows),
-        "last_h_upper": last["h_upper"],
-        "last_io_lower": last["io_lower_bound"],
-    }
-
-
-@register_bench(
-    "grid_sweep_cold",
-    "engine",
-    params={"schemes": ("strassen", "winograd"), "k_max": 5},
-    quick_params={"k_max": 4},
-    cold=True,
-)
+@register_bench("grid_sweep_cold", params={"schemes": ("strassen", "winograd"), "k_max": 4})
 def _bench_grid_sweep_cold(cache: EngineCache, schemes: Sequence[str], k_max: int) -> dict:
     """Cold (scheme × k × M) sweep: every graph, spectrum, estimate rebuilt."""
     from repro.engine.grid import run_grid
 
-    report = run_grid(_grid_spec(schemes, k_max), cache=cache)
-    return {"check": _grid_check(report)}
-
-
-@register_bench(
-    "grid_sweep_warm",
-    "engine",
-    params={"schemes": ("strassen", "winograd"), "k_max": 5},
-    quick_params={"k_max": 4},
-    warmup=True,
-)
-def _bench_grid_sweep_warm(cache: EngineCache, schemes: Sequence[str], k_max: int) -> dict:
-    """Warm sweep over the same grid: the steady state must rebuild nothing."""
-    from repro.engine.grid import run_grid
-
-    report = run_grid(_grid_spec(schemes, k_max), cache=cache)
-    check = _grid_check(report)
-    check["rebuilds"] = report.rebuilds
-    return {"check": check}
+    rows = run_grid(_grid_spec(schemes, k_max), cache=cache).rows
+    return {
+        "check": {
+            "points": len(rows),
+            "V_total": sum(r["V"] for r in rows),
+            "E_total": sum(r["E"] for r in rows),
+            "last_h_upper": rows[-1]["h_upper"],
+            "last_io_lower": rows[-1]["io_lower_bound"],
+        },
+    }
 
 
 @register_bench(
     "pool_cold_vs_warm",
-    "engine",
     params={"schemes": ("strassen",), "k_max": 3, "workers": 4},
-    quick_params={},
     rounds=1,
-    quick_rounds=1,
 )
 def _bench_pool_cold_vs_warm(
     cache: EngineCache, schemes: Sequence[str], k_max: int, workers: int
@@ -1075,115 +727,8 @@ def _bench_pool_cold_vs_warm(
 
 
 @register_bench(
-    "scaling_sweep",
-    "parallel",
-    params={"n": 56, "p_max": 64, "cs": (1, 2, 4)},
-    quick_params={"p_max": 16, "cs": (1, 2)},
-    cold=True,
-)
-def _bench_scaling_sweep(cache: EngineCache, n: int, p_max: int, cs: Sequence[int]) -> dict:
-    """Cold strong-scaling sweep over every registered parallel algorithm."""
-    from repro.engine.scaling import ScalingSpec, scaling_sweep
-    from repro.parallel.base import available_parallel
-
-    spec = ScalingSpec(algos=tuple(available_parallel()), n=n, p_max=p_max, cs=tuple(cs))
-    report = scaling_sweep(spec, cache=cache)
-    return {
-        "check": {
-            "points": len(report.rows),
-            "words_total": sum(r["measured_words"] for r in report.rows),
-            "all_verified": all(r["verified"] for r in report.rows),
-        },
-    }
-
-
-@register_bench(
-    "plan_tournament",
-    "parallel",
-    params={"n": 56, "topologies": ("uniform", "fat-tree:4x4", "torus:4x4", "gpu:2x8")},
-    quick_params={"topologies": ("uniform", "fat-tree:4x4", "torus:4x4")},
-    cold=True,
-)
-def _bench_plan_tournament(cache: EngineCache, n: int, topologies: Sequence[str]) -> dict:
-    """Auto-scheduler tournament: the planner's memory-ladder winners per topology.
-
-    The ``check`` block pins the winner table, so a cost-model or search
-    regression that changes who wins (not just how fast the search runs)
-    fails the gate outright.
-    """
-    from repro.engine.planner import plan_report
-
-    from repro.topology import Topology
-
-    reports = {}
-    winners = {}
-    searched = 0
-    for spec in topologies:
-        report = plan_report(n, topology=Topology.parse(spec), cache=cache)
-        reports[spec] = report
-        for limit, winner in report["winners"].items():
-            winners[f"{spec}@{limit}"] = winner
-        searched += sum(len(t["rows"]) for t in report["tables"])
-    return {
-        "check": {
-            "winners": winners,
-            "ranked_plans": searched,
-            "every_topology_flips": all(r["flips"] for r in reports.values()),
-        },
-    }
-
-
-@register_bench(
-    "memory_sweep",
-    "parallel",
-    params={"n": 64, "q": 8, "cs": (1, 2, 4, 8)},
-    quick_params={"cs": (1, 2, 4)},
-)
-def _bench_memory_sweep(cache: EngineCache, n: int, q: int, cs: Sequence[int]) -> dict:
-    """2.5D replication sweep (§6.1's regime knob) plus the ω₀-free numerator."""
-    from repro.core.bounds import LG7, table1_cell
-    from repro.experiments.table1 import two5d_c_sweep
-
-    del cache
-    result = two5d_c_sweep(n=n, q=q, cs=tuple(cs))
-    # §6.1: Table I numerators do not depend on ω₀ — only p's power does.
-    numerator_rows = []
-    nn, p, c = 256, 64, 2
-    for w in (2.1, 2.5, LG7, 3.0):
-        for regime in ("2D", "3D", "2.5D"):
-            cell = table1_cell(regime, "strassen-like", nn, p, c, omega0=w)
-            c_part = c ** (w / 2 - 1) if regime == "2.5D" else 1.0
-            numerator_rows.append(
-                {
-                    "omega0": w,
-                    "regime": regime,
-                    "bound": cell.bound,
-                    "p_exponent": cell.exponent_of_p,
-                    "reconstructed_numerator": cell.bound * (p**cell.exponent_of_p) * c_part,
-                }
-            )
-    return {
-        "check": {
-            "words": [r["measured_words"] for r in result["rows"]],
-            "regimes": [r["M_regime"] for r in result["rows"]],
-            "all_verified": all(r["verified"] for r in result["rows"]),
-            "numerators": [r["reconstructed_numerator"] for r in numerator_rows],
-        },
-    }
-
-
-@register_bench(
     "table1_scaling",
-    "parallel",
-    params={
-        "n": 64,
-        "qs2d": (2, 4, 8, 16),
-        "qs3d": (2, 4, 8),
-        "ells": (1, 2),
-        "n0_factor": 8,
-    },
-    quick_params={"qs2d": (2, 4, 8), "qs3d": (2, 4), "n0_factor": 4},
-    rounds=2,
+    params={"n": 64, "qs2d": (2, 4, 8), "qs3d": (2, 4), "ells": (1, 2), "n0_factor": 4},
 )
 def _bench_table1_scaling(
     cache: EngineCache,
@@ -1209,13 +754,7 @@ def _bench_table1_scaling(
     }
 
 
-@register_bench(
-    "caps_tradeoff",
-    "parallel",
-    params={"n": 112, "ell": 2},
-    quick_params={"n": 56},
-    rounds=2,
-)
+@register_bench("caps_tradeoff", params={"n": 56, "ell": 2})
 def _bench_caps_tradeoff(cache: EngineCache, n: int, ell: int) -> dict:
     """CAPS schedule frontier: memory/bandwidth trade against Corollary 1.2."""
     from repro.experiments.table1 import caps_memory_sweep
@@ -1231,7 +770,7 @@ def _bench_caps_tradeoff(cache: EngineCache, n: int, ell: int) -> dict:
     }
 
 
-@register_bench("table1", "parallel", params={"n": 64}, quick_params={})
+@register_bench("table1", params={"n": 64})
 def _bench_table1(cache: EngineCache, n: int) -> dict:
     """The full six-cell Table I: attaining algorithms beside every bound."""
     from repro.experiments.table1 import table1_summary
@@ -1296,15 +835,7 @@ async def _serve_load_drive(
     }
 
 
-@register_bench(
-    "serve_load",
-    "serve",
-    params={"clients": 8, "repeats": 6, "scheme": "strassen", "k": 2},
-    quick_params={"clients": 8, "repeats": 3},
-    rounds=3,
-    quick_rounds=2,
-    cold=True,
-)
+@register_bench("serve_load", params={"clients": 8, "repeats": 3, "scheme": "strassen", "k": 2})
 def _bench_serve_load(cache: EngineCache, clients: int, repeats: int, scheme: str, k: int) -> dict:
     """Concurrent HTTP load against the serving layer (single-flight path).
 

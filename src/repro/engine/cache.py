@@ -459,8 +459,7 @@ class EngineCache:
         """Zero the hit/miss/store/build counters; returns the old values.
 
         The counters are otherwise monotone for the life of the instance,
-        which makes cold-vs-warm accounting across consecutive runs (the
-        bench harness's ``grid_sweep_cold`` / ``grid_sweep_warm`` split)
+        which makes cold-vs-warm accounting across consecutive runs
         impossible to read off directly — resetting between phases makes
         each phase's counters exact.  Cached artifacts are untouched.
         """

@@ -204,11 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run registered benchmark workloads and write BENCH_<tag>.json",
     )
     bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the reduced parameter sets (same workload selection)",
-    )
-    bench.add_argument(
         "--workloads",
         nargs="+",
         default=None,
@@ -239,17 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.5,
         help="slowdown ratio that counts as a regression (default: 1.5)",
-    )
-    bench.add_argument(
-        "--metric",
-        default="min",
-        choices=["min", "mean", "p50", "p90", "max"],
-        help="seconds statistic compared against the baseline (default: min)",
-    )
-    bench.add_argument(
-        "--no-strict-checks",
-        action="store_true",
-        help="report science-output drift vs the baseline without failing",
     )
     bench.add_argument(
         "--list", action="store_true", help="list the registered workloads and exit"
@@ -525,24 +509,21 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
 
     if args.list:
         rows = []
-        for name in selected_benches(args.workloads, quick=args.quick):
+        for name in selected_benches(args.workloads):
             w = get_bench(name)
-            rows.append(
-                {
-                    "workload": name,
-                    "group": w.group,
-                    "rounds": w.quick_rounds if args.quick else w.rounds,
-                    "warmup": w.warmup,
-                    "cold": w.cold,
-                    "description": w.description,
-                }
-            )
+            rows.append({"workload": name, "rounds": w.rounds, "description": w.description})
         print(render_table(rows, title="registered benchmark workloads"), file=out)
         return 0
 
+    # Bad gate inputs fail here, before any workload runs (exit 2 via main).
+    baseline = None
+    if args.compare is not None:
+        if args.threshold <= 1.0:
+            raise ValueError("--threshold must exceed 1.0 (it is a slowdown ratio)")
+        baseline = load_bench_file(args.compare)
+
     doc = run_suite(
         names=args.workloads,
-        quick=args.quick,
         rounds=args.rounds,
         tag=args.tag,
         progress=lambda name: print(f"[bench] running {name} ...", file=sys.stderr),
@@ -555,7 +536,6 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
         rows = [
             {
                 "workload": name,
-                "group": rec["group"],
                 "rounds": rec["rounds"],
                 "min_s": round(rec["seconds"]["min"], 4),
                 "p50_s": round(rec["seconds"]["p50"], 4),
@@ -569,17 +549,11 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
             render_table(rows, title=f"[bench] {len(rows)} workloads -> {path}"),
             file=out,
         )
-    if args.compare is None:
+    if baseline is None:
         return 0
-    baseline = load_bench_file(args.compare)
-    cmp = compare_benchmarks(
-        doc,
-        baseline,
-        threshold=args.threshold,
-        metric=args.metric,
-    )
+    cmp = compare_benchmarks(doc, baseline, threshold=args.threshold)
     print(render_comparison(cmp), file=out)
-    return 1 if cmp.failed(strict_checks=not args.no_strict_checks) else 0
+    return 1 if cmp.failed() else 0
 
 
 def _cmd_expansion(args: argparse.Namespace, cache: EngineCache, out: TextIO) -> int:

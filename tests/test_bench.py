@@ -1,8 +1,9 @@
 """Tests for the benchmark subsystem (repro.engine.bench + the CLI gate).
 
 Covers the registry round-trip, the pinned BENCH_*.json schema (golden
-file under tests/data/), the --compare pass/fail/threshold paths, and the
-determinism of workload selection under --quick.
+file under tests/data/), the --compare pass/fail/threshold paths, the
+fresh-cache-per-round harness contract, and the determinism of workload
+selection.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.engine import cli
@@ -18,7 +20,6 @@ from repro.engine.bench import (
     BENCH_SCHEMA_VERSION,
     _BENCHES,
     available_benches,
-    bench_groups,
     compare_benchmarks,
     get_bench,
     load_bench_file,
@@ -40,14 +41,7 @@ def scratch_workload():
     """Register a throwaway workload; always unregister afterwards."""
     calls = []
 
-    @register_bench(
-        "scratch",
-        "cdag",
-        params={"x": 2, "y": 10},
-        quick_params={"y": 3},
-        rounds=2,
-        quick_rounds=1,
-    )
+    @register_bench("scratch", params={"x": 2, "y": 10}, rounds=3)
     def _scratch(cache, x, y):
         """Scratch workload for the harness tests."""
         calls.append((x, y))
@@ -62,35 +56,20 @@ class TestRegistry:
         assert "scratch" in available_benches()
         w = get_bench("scratch")
         assert w.name == "scratch"
-        assert w.group == "cdag"
         assert w.description.startswith("Scratch workload")
-        assert w.resolve_params() == {"x": 2, "y": 10}
-        assert w.resolve_params(quick=True) == {"x": 2, "y": 3}
-        assert "scratch" in bench_groups()["cdag"]
+        assert w.params == {"x": 2, "y": 10}
+        assert w.rounds == 3
 
     def test_duplicate_name_rejected(self, scratch_workload):
         with pytest.raises(ValueError, match="already registered"):
-            register_bench("scratch", "cdag")(lambda cache: {"check": {}})
-
-    def test_unknown_group_rejected(self):
-        with pytest.raises(ValueError, match="unknown bench group"):
-            register_bench("nope", "not-a-group")
+            register_bench("scratch")(lambda cache: {"check": {}})
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown benchmark workload"):
             get_bench("definitely-not-registered")
 
-    def test_every_registered_group_is_known(self):
-        from repro.engine.bench import BENCH_GROUPS
-
-        for name in available_benches():
-            assert get_bench(name).group in BENCH_GROUPS
-
 
 class TestSelection:
-    def test_quick_never_changes_membership(self):
-        assert selected_benches(quick=True) == selected_benches(quick=False)
-
     def test_selection_is_deterministic(self):
         assert selected_benches() == selected_benches()
         assert selected_benches() == available_benches()
@@ -99,7 +78,6 @@ class TestSelection:
         names = available_benches()
         subset = [names[2], names[0]]
         assert selected_benches(subset) == [names[0], names[2]]
-        assert selected_benches(subset, quick=True) == [names[0], names[2]]
 
     def test_unknown_selection_rejected(self):
         with pytest.raises(KeyError, match="unknown benchmark workload"):
@@ -123,18 +101,41 @@ class TestHarness:
         }
         assert rec["peak_rss_kb"] > 0
 
-    def test_quick_uses_quick_params_and_rounds(self, scratch_workload):
-        rec = run_bench("scratch", quick=True)
-        assert rec["rounds"] == 1
-        assert rec["params"] == {"x": 2, "y": 3}
-        assert rec["check"] == {"product": 6}
+    def test_registered_params_and_rounds_are_the_default(self, scratch_workload):
+        rec = run_bench("scratch")
+        assert rec["rounds"] == 3
+        assert rec["params"] == {"x": 2, "y": 10}
+        assert scratch_workload == [(2, 10)] * 3
+
+    def test_every_round_gets_a_fresh_cache(self):
+        caches = []
+
+        @register_bench("memo")
+        def _memo(cache):
+            caches.append(cache)
+            cache.memoize(
+                "memo",
+                lambda: 1,
+                encode=lambda v: {"v": np.array([v])},
+                decode=lambda arrays: int(arrays["v"][0]),
+            )
+            return {"check": {}}
+
+        try:
+            rec = run_bench("memo", rounds=3)
+        finally:
+            _BENCHES.pop("memo", None)
+        assert len({id(c) for c in caches}) == 3
+        # one build per round, summed: no round saw another round's artifact
+        assert rec["cache"]["builds"] == 3
+        assert rec["cache"]["hits"] == 0
 
     def test_zero_rounds_rejected(self, scratch_workload):
         with pytest.raises(ValueError, match="at least one"):
             run_bench("scratch", rounds=0)
 
     def test_payload_without_check_rejected(self):
-        @register_bench("badcheck", "cdag")
+        @register_bench("badcheck")
         def _bad(cache):
             return {"oops": 1}
 
@@ -144,17 +145,12 @@ class TestHarness:
         finally:
             _BENCHES.pop("badcheck", None)
 
-    def test_warm_grid_counts_no_builds(self):
-        rec = run_bench("grid_sweep_warm", quick=True, rounds=1)
-        # warmup populated the cache; the timed round must be all hits
-        assert rec["cache"]["builds"] == 0
-        assert rec["cache"]["hits"] > 0
-        assert rec["check"]["rebuilds"] == 0
-
     def test_cold_grid_builds_every_round(self):
-        rec = run_bench("grid_sweep_cold", quick=True, rounds=2)
-        # a fresh cache per round: both rounds construct artifacts
-        assert rec["cache"]["builds"] > 0
+        one = run_bench("grid_sweep_cold", rounds=1)
+        two = run_bench("grid_sweep_cold", rounds=2)
+        # a fresh cache per round: both rounds construct every artifact
+        assert one["cache"]["builds"] > 0
+        assert two["cache"]["builds"] == 2 * one["cache"]["builds"]
 
 
 class TestSchemaGolden:
@@ -162,12 +158,7 @@ class TestSchemaGolden:
 
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_suite(
-            names=["cdag_build", "seq_io_simulate"],
-            quick=True,
-            rounds=1,
-            tag="schema-test",
-        )
+        return run_suite(names=["seq_io_simulate"], rounds=1, tag="schema-test")
 
     def test_schema_version(self, doc):
         assert doc["schema_version"] == BENCH_SCHEMA_VERSION == GOLDEN["schema_version"]
@@ -192,7 +183,8 @@ class TestSchemaGolden:
         path = write_bench_file(doc, tmp_path / "BENCH_t.json")
         loaded = load_bench_file(path)
         assert loaded["workloads"].keys() == doc["workloads"].keys()
-        assert loaded["workloads"]["cdag_build"]["check"] == GOLDEN["checks"]["cdag_build"]
+        expected = GOLDEN["checks"]["seq_io_simulate"]
+        assert loaded["workloads"]["seq_io_simulate"]["check"] == expected
 
     def test_wrong_schema_version_rejected(self, doc, tmp_path):
         bad = dict(doc, schema_version=BENCH_SCHEMA_VERSION + 1)
@@ -206,16 +198,12 @@ def _doc(seconds_by_name: dict[str, float], checks: dict | None = None) -> dict:
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "tag": "synthetic",
-        "quick": False,
         "created_unix": 0.0,
         "host": {},
         "workloads": {
             name: {
-                "group": "cdag",
                 "params": {},
                 "rounds": 1,
-                "warmup": False,
-                "cold": False,
                 "seconds": {
                     "raw": [s],
                     "min": s,
@@ -267,10 +255,9 @@ class TestCompare:
         statuses = {r.name: r.status for r in cmp.rows}
         assert statuses == {"a": "missing", "b": "new"}
         # a baseline workload that did not run is an unenforced gate
-        assert cmp.failed(strict_checks=True)
-        assert not cmp.failed(strict_checks=False)
+        assert cmp.failed()
         only_new = compare_benchmarks(_doc({"a": 1.0, "b": 1.0}), _doc({"a": 1.0}))
-        assert not only_new.failed(strict_checks=True)
+        assert not only_new.failed()
 
     def test_params_mismatch_wins_and_gates_strictly(self):
         current, base = _doc({"a": 50.0}), _doc({"a": 1.0})
@@ -280,16 +267,14 @@ class TestCompare:
         current["workloads"]["a"]["check"] = {"v": 2}
         cmp = compare_benchmarks(current, base)
         assert [r.status for r in cmp.rows] == ["params_differ"]
-        # an uncomparable workload is an unenforced gate: strict runs fail
-        assert cmp.failed(strict_checks=True)
-        assert not cmp.failed(strict_checks=False)
+        # an uncomparable workload is an unenforced gate
+        assert cmp.failed()
 
     def test_check_mismatch_fails_strict_only(self):
         current = _doc({"a": 1.0}, checks={"a": {"v": 2}})
         cmp = compare_benchmarks(current, _doc({"a": 1.0}))
         assert [r.status for r in cmp.rows] == ["check_mismatch"]
-        assert cmp.failed(strict_checks=True)
-        assert not cmp.failed(strict_checks=False)
+        assert cmp.failed()
 
     def test_check_float_tolerance(self):
         base = _doc({"a": 1.0}, checks={"a": {"v": 1.0}})
@@ -307,10 +292,12 @@ class TestCompare:
         assert compare_benchmarks(drift, base).rows[0].status == "check_mismatch"
 
     def test_metric_selects_statistic(self):
+        # the gate reads seconds.min: a noisy p90 alone never gates
         current, base = _doc({"a": 1.0}), _doc({"a": 1.0})
         current["workloads"]["a"]["seconds"]["p90"] = 10.0
-        assert not compare_benchmarks(current, base, metric="min").failed()
-        assert compare_benchmarks(current, base, metric="p90").failed()
+        assert not compare_benchmarks(current, base).failed()
+        current["workloads"]["a"]["seconds"]["min"] = 10.0
+        assert compare_benchmarks(current, base).failed()
 
     def test_threshold_must_exceed_one(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -323,51 +310,30 @@ class TestCompare:
 
 
 class TestCLI:
+    BASE_ARGS = ["bench", "--rounds", "1", "--workloads", "seq_io_simulate", "--out"]
+
     def test_bench_list(self, capsys):
         assert cli.main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "cdag_build" in out
-        assert "scaling_sweep" in out
+        assert "seq_io_simulate" in out
+        assert "serve_load" in out
 
     def test_bench_run_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "BENCH_x.json"
-        rc = cli.main(
-            [
-                "bench",
-                "--quick",
-                "--rounds",
-                "1",
-                "--workloads",
-                "cdag_build",
-                "--tag",
-                "x",
-                "--out",
-                str(out_path),
-            ]
-        )
+        rc = cli.main(self.BASE_ARGS + [str(out_path), "--tag", "x"])
         assert rc == 0
         doc = json.loads(out_path.read_text())
         assert doc["tag"] == "x"
-        assert list(doc["workloads"]) == ["cdag_build"]
+        assert list(doc["workloads"]) == ["seq_io_simulate"]
 
     def test_bench_compare_pass_and_fail(self, tmp_path, capsys):
-        base_args = [
-            "bench",
-            "--quick",
-            "--rounds",
-            "1",
-            "--workloads",
-            "cdag_build",
-            "--out",
-        ]
         baseline = tmp_path / "baseline.json"
-        assert cli.main(base_args + [str(baseline)]) == 0
+        assert cli.main(self.BASE_ARGS + [str(baseline)]) == 0
 
         # identical re-run vs itself: passes
         current = tmp_path / "current.json"
         rc = cli.main(
-            base_args
-            + [str(current), "--compare", str(baseline), "--threshold", "100.0"]
+            self.BASE_ARGS + [str(current), "--compare", str(baseline), "--threshold", "100.0"]
         )
         assert rc == 0
         assert "0 regression(s)" in capsys.readouterr().out
@@ -379,38 +345,38 @@ class TestCLI:
                 rec["seconds"][key] = [1e-12] if key == "raw" else 1e-12
         fast = tmp_path / "fast.json"
         fast.write_text(json.dumps(doc))
-        rc = cli.main(base_args + [str(current), "--compare", str(fast)])
+        rc = cli.main(self.BASE_ARGS + [str(current), "--compare", str(fast)])
         assert rc == 1
         assert "regression" in capsys.readouterr().out
 
     def test_bench_compare_check_drift_respects_strictness(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        args = [
-            "bench",
-            "--quick",
-            "--rounds",
-            "1",
-            "--workloads",
-            "cdag_build",
-            "--out",
-        ]
-        assert cli.main(args + [str(baseline)]) == 0
+        assert cli.main(self.BASE_ARGS + [str(baseline)]) == 0
         doc = json.loads(baseline.read_text())
-        doc["workloads"]["cdag_build"]["check"]["dec_V"] += 1
+        doc["workloads"]["seq_io_simulate"]["check"]["words"] += 1
         drifted = tmp_path / "drifted.json"
         drifted.write_text(json.dumps(doc))
         current = tmp_path / "current.json"
-        assert cli.main(args + [str(current), "--compare", str(drifted)]) == 1
-        assert (
-            cli.main(
-                args
-                + [
-                    str(current),
-                    "--compare",
-                    str(drifted),
-                    "--no-strict-checks",
-                ]
-            )
-            == 0
+        # check drift always gates, at any timing threshold
+        rc = cli.main(
+            self.BASE_ARGS + [str(current), "--compare", str(drifted), "--threshold", "100.0"]
         )
-        capsys.readouterr()
+        assert rc == 1
+        assert "1 check mismatch(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["missing", "not_an_object", "bad_threshold"])
+    def test_bench_compare_rejects_bad_inputs_before_running(self, tmp_path, capsys, case):
+        baseline = tmp_path / "baseline.json"
+        threshold = "3.0"
+        if case == "not_an_object":
+            baseline.write_text("[]")
+        elif case == "bad_threshold":
+            baseline = Path(__file__).parents[1] / "benchmarks" / "baseline_ci.json"
+            threshold = "0.5"
+        args = self.BASE_ARGS + [str(tmp_path / "current.json")]
+        rc = cli.main(args + ["--compare", str(baseline), "--threshold", threshold])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "[bench] running" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "current.json").exists()

@@ -141,6 +141,19 @@ class TestEstimatorIntervals:
         assert iv.provenance in ("cheeger+sweep", "cheeger+cone")
         assert 0.0 < iv.lower <= iv.upper
 
+    @pytest.mark.parametrize(
+        ("k", "provenance", "lower", "upper"),
+        [
+            (1, "exact", 0.15, 0.15),
+            (2, "cheeger+sweep", 0.015842411463947905, 0.05405405405405406),
+        ],
+    )
+    def test_auto_interval_values(self, k, provenance, lower, upper):
+        est = cached_estimate("strassen", k, policy="auto", cache=EngineCache(disk=False))
+        iv = est.interval()
+        assert iv.provenance == provenance
+        assert (iv.lower, iv.upper) == pytest.approx((lower, upper), rel=1e-4)
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_cached_estimate_interval_invariants_per_policy(self, policy):
         cache = EngineCache(disk=False)

@@ -336,6 +336,20 @@ class TestGrid:
         for a, b in zip(cold.rows, warm.rows):
             assert _rows_equal(a, b)
 
+    def test_warm_sweep_totals_at_dec4(self):
+        spec = GridSpec.from_ranges(
+            schemes=("strassen", "winograd"), k_max=4, memories=(48, 192, 768, 3072)
+        )
+        cache = EngineCache(disk=False)
+        run_grid(spec, cache=cache)
+        warm = run_grid(spec, cache=cache)
+        assert warm.rebuilds == 0
+        assert len(warm.rows) == 32
+        assert sum(r["V"] for r in warm.rows) == 48640
+        assert sum(r["E"] for r in warm.rows) == 85280
+        assert warm.rows[-1]["h_upper"] == pytest.approx(0.011188811188811189, rel=1e-4)
+        assert warm.rows[-1]["io_lower_bound"] == 512.0
+
     def test_parallel_equals_serial(self, tmp_path):
         serial = run_grid(self.SPEC, cache=EngineCache(tmp_path / "serial"))
         parallel = run_grid(

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdag.build import GraphBuilder, layered_circulant_cdag
+from repro.cdag.classical_cdag import classical_matmul_cdag
 from repro.cdag.graph import CDAG, VertexKind
-from repro.cdag.strassen_cdag import dec_graph
+from repro.cdag.strassen_cdag import dec1_graph, dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
     _bounded_walk_py,
@@ -295,6 +296,35 @@ class TestRaisedLimit:
         assert methods == ["exact", "exact"]  # k=2 was "spectral+sweep" pre-v2
 
 
+class TestPaperValues:
+    """h of the paper's smallest CDAGs and the Lemma 4.3 decay table, pinned."""
+
+    def test_classical2_and_dec1_exact_values(self):
+        g_cl = classical_matmul_cdag(2)  # 20 vertices: ~1M subsets enumerated
+        assert g_cl.n_vertices == 20
+        assert exact_edge_expansion(g_cl)[0] == pytest.approx(2 / 15, rel=1e-12)
+        g_dec = dec1_graph("strassen")
+        assert exact_edge_expansion(g_dec)[0] == pytest.approx(0.15, rel=1e-12)
+        assert exact_small_set_expansion(g_dec, 3) == pytest.approx(1 / 6, rel=1e-12)
+
+    def test_strassen_decay_table(self):
+        from repro.engine.cache import EngineCache
+        from repro.experiments.expansion_exp import expansion_decay, small_set_profile
+
+        cache = EngineCache(disk=False)
+        decay = expansion_decay("strassen", k_max=4, spectral_upto=3, cache=cache)
+        assert [r["upper"] for r in decay["rows"]] == pytest.approx(
+            [0.15, 0.05405405405405406, 0.026755852842809364, 0.014918414918414918],
+            rel=1e-4,
+        )
+        assert decay["expected_decay"] == pytest.approx(4 / 7, rel=1e-12)
+        small = small_set_profile("strassen", k=4, cache=cache)
+        assert [r["h_of_cut"] for r in small["rows"]] == pytest.approx(
+            [0.2857142857142857, 0.1038961038961039, 0.04915514592933948, 0.014918414918414918],
+            rel=1e-4,
+        )
+
+
 class TestSmallSetWalk:
     def test_40_vertex_h3(self):
         # impossible pre-PR: n=40 is far beyond any full enumeration
@@ -304,6 +334,7 @@ class TestSmallSetWalk:
         hs = [exact_small_set_expansion(g, s) for s in (1, 2, 3)]
         assert hs[0] >= hs[1] >= hs[2]  # larger budgets can only cut deeper
         assert hs[2] == h3
+        assert hs == pytest.approx([1 / 2, 5 / 12, 7 / 18], rel=1e-12)
 
     def test_40_vertex_matches_scalar_walk(self):
         g = layered_circulant_cdag(40)

@@ -333,6 +333,14 @@ class TestEstimator:
         assert est.witness_size >= 1
         assert est.witness_boundary >= 1
 
+    def test_dec3_spectral_values(self):
+        est = estimate_expansion(dec_graph("strassen", 3), "strassen", 3, policy="spectral")
+        assert est.method == "spectral+sweep"
+        assert (est.lower, est.upper) == pytest.approx(
+            (0.006898531878696219, 0.026755852842809364), rel=1e-4
+        )
+        assert est.witness_size == 299
+
     def test_decay_with_k(self):
         uppers = []
         for k in (2, 3, 4):

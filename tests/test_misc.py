@@ -9,6 +9,7 @@ from repro.cdag.schedule import (
     dfs_topological_order,
     is_topological,
 )
+from repro.core.bounds import LG7, table1_cell
 from repro.core.dominator import minimum_dominator_size
 from repro.experiments.report import format_value, render_table
 from repro.util.matgen import hilbert_like, integer_matrix, random_matrix, structured_matrix
@@ -203,6 +204,34 @@ class TestExperimentsSmoke:
         assert any(r["dec1_connected"] for r in rows)
         assert any(not r["dec1_connected"] for r in rows)
 
+    def test_structure_reports_at_k4(self):
+        from repro.engine.cache import EngineCache
+        from repro.experiments.structure_exp import (
+            dec1_connectivity_table,
+            figure2_report,
+            figure3_tree_report,
+        )
+
+        cache = EngineCache(disk=False)
+        fig2 = figure2_report("strassen", 4, cache=cache)
+        assert fig2["dec1"]["V"] == 11
+        assert fig2["deck"]["max_degree"] == 6
+        assert fig2["hk"]["n_mults"] == 2401
+        assert figure3_tree_report("strassen", 4, cache=cache)["partition_ok"] is True
+        connected = {r["scheme"]: r["dec1_connected"] for r in dec1_connectivity_table(cache)}
+        assert connected == {
+            "classical122": False,
+            "classical2": False,
+            "classical212": False,
+            "classical221": False,
+            "classical3": False,
+            "hybrid4": False,
+            "strassen": True,
+            "strassen122": False,
+            "strassen2x": True,
+            "winograd": True,
+        }
+
     def test_table1_summary_rows(self):
         from repro.experiments.table1 import table1_summary
 
@@ -216,3 +245,29 @@ class TestExperimentsSmoke:
         r = sequential_latency(M=768, ns=(128, 256))
         for row in r["rows"]:
             assert row["measured_messages"] >= row["latency_bound"]
+
+    def test_latency_message_counts(self):
+        from repro.experiments.latency_exp import parallel_latency, sequential_latency
+
+        seq = sequential_latency("strassen", M=768, ns=(128, 256, 512))
+        assert [r["measured_messages"] for r in seq["rows"]] == [6765, 51083, 372455]
+        par = parallel_latency(n=64)
+        assert [r["measured_messages"] for r in par["rows"]] == [8, 16, 32, 36, 252]
+
+    def test_two5d_c_sweep_words(self):
+        from repro.experiments.table1 import two5d_c_sweep
+
+        rows = two5d_c_sweep(n=64, q=8, cs=(1, 2, 4))["rows"]
+        assert [r["measured_words"] for r in rows] == [2048, 1216, 896]
+        assert [r["M_regime"] for r in rows] == [64.0, 64.0, 64.0]
+        assert all(r["verified"] for r in rows)
+
+    @pytest.mark.parametrize("omega0", [2.1, 2.5, LG7, 3.0])
+    @pytest.mark.parametrize("regime", ["2D", "3D", "2.5D"])
+    def test_table1_numerator_is_omega_free(self, regime, omega0):
+        # §6.1: only p's power depends on ω₀; the numerator is n² throughout
+        n, p, c = 256, 64, 2
+        cell = table1_cell(regime, "strassen-like", n, p, c, omega0=omega0)
+        c_part = c ** (omega0 / 2 - 1) if regime == "2.5D" else 1.0
+        numerator = cell.bound * p**cell.exponent_of_p * c_part
+        assert numerator == pytest.approx(65536.0, rel=1e-12)

@@ -67,6 +67,14 @@ class TestNativeEquivalence:
         assert h_n == h_b
         assert np.array_equal(m_n, m_b)
 
+    def test_circulant_24_value_on_available_backend(self):
+        # pinned on whichever backend this host has: the value is backend-free
+        g = layered_circulant_cdag(24)
+        backend = "native" if native_backend_available() else "bitset"
+        h, mask = exact_edge_expansion_v2(g, backend=backend, jobs=1)
+        assert h == pytest.approx(11 / 72, rel=1e-12)
+        assert int(mask.sum()) == 12
+
     @needs_native
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_native_jobs_do_not_change_results(self, jobs):

@@ -156,6 +156,21 @@ class TestPlanReport:
         assert "unlimited" in report["winners"]
 
 
+    def test_winner_table_per_topology(self):
+        expected = {
+            "uniform": {"196": "2.5d", "1568": "3d", "unlimited": "3d"},
+            "fat-tree:4x4": {"784": "2.5d", "6272": "summa", "unlimited": "summa"},
+            "torus:4x4": {"784": "2.5d", "6272": "summa", "unlimited": "summa"},
+        }
+        ranked = 0
+        for spec, winners in expected.items():
+            report = plan_report(56, topology=Topology.parse(spec), cache=EngineCache(disk=False))
+            assert report["winners"] == winners
+            assert report["flips"] is True
+            ranked += sum(len(t["rows"]) for t in report["tables"])
+        assert ranked == 87
+
+
 class TestGoldenRanking:
     """The pinned plan table the plan-smoke CI leg replays."""
 

@@ -219,24 +219,11 @@ class TestRegistryContracts:
         )
         assert codes(report) == []
 
-    def test_bench_params_without_quick_params(self, tmp_path):
-        report = check_snippet(
-            tmp_path,
-            """
-            @register_bench("w", "cat", params={"n": 8})
-            def _bench_w(cache, n):
-                return {"wall": 1.0, "check": {"n": n}}
-            """,
-            select=["registry-bench"],
-        )
-        assert codes(report) == ["RC202"]
-        assert "quick_params" in report.findings[0].message
-
     def test_bench_return_without_check_entry(self, tmp_path):
         report = check_snippet(
             tmp_path,
             """
-            @register_bench("w", "cat", params={"n": 8}, quick_params={})
+            @register_bench("w", params={"n": 8})
             def _bench_w(cache, n):
                 return {"wall": 1.0}
             """,
@@ -249,7 +236,7 @@ class TestRegistryContracts:
         report = check_snippet(
             tmp_path,
             """
-            @register_bench("w", "cat", params={"n": 8}, quick_params={"n": 2})
+            @register_bench("w", params={"n": 8})
             def _bench_w(cache, n):
                 return {"wall": 1.0, "check": {"n": n}}
             """,

@@ -81,6 +81,14 @@ class TestSweep:
         assert [r["label"] for r in again.rows] == [r["label"] for r in sweep_report.rows]
 
 
+def test_small_sweep_totals():
+    spec = ScalingSpec(algos=tuple(available_parallel()), n=56, p_max=16, cs=(1, 2))
+    report = scaling_sweep(spec, cache=EngineCache(disk=False))
+    assert len(report.rows) == 9
+    assert sum(r["measured_words"] for r in report.rows) == 38528
+    assert all(r["verified"] for r in report.rows)
+
+
 class TestSweepCache:
     def test_warm_rerun_builds_nothing(self, tmp_path):
         cache = EngineCache(tmp_path / "cache")

@@ -41,6 +41,13 @@ class TestDecGraph:
         expected = sum(nnz * c0**t * t0 ** (k - t - 1) for t in range(k))
         assert g.n_edges == expected
 
+    def test_dec5_and_h5_sizes(self):
+        # the largest Strassen CDAGs the paper's figures use, built cold
+        g = dec_graph("strassen", 5)
+        hg = h_graph("strassen", 5)
+        assert (g.n_vertices, g.n_edges) == (37851, 63132)
+        assert (hg.cdag.n_vertices, hg.cdag.n_edges) == (92509, 201966)
+
     def test_dec0_is_single_level(self):
         g = dec_graph("strassen", 0)
         assert g.n_vertices == 1
