@@ -159,14 +159,12 @@ def caps_memory_sweep(n: int = 112, ell: int = 2) -> dict:
     A, B = _inputs(n)
     p = 7**ell
     schedules = ["BB", "DBB", "BDB", "BBD", "DDBB", "DBDB", "DBBD"]
+    caps = get_parallel("caps")
     rows = []
     for sched in schedules:
-        if sched.count("B") != ell:
+        if not caps.is_valid(n, p, scheme="strassen", schedule=sched):
             continue
-        try:
-            r = _execute("caps", A, B, p=p, schedule=sched)
-        except ValueError:
-            continue
+        r = _execute("caps", A, B, p=p, schedule=sched)
         M = r.max_mem_peak
         bound = parallel_io_bound(n, M, p, LG7)
         rows.append(

@@ -5,13 +5,31 @@
 (Yang–Miller): transfers that happen simultaneously on disjoint processor
 pairs count once, while serialization at one processor is charged in full.
 
-The machine executes *supersteps*: algorithms run rank-by-rank Python code
-against per-rank stores of real numpy arrays, and call :meth:`exchange`
-with the round's complete message list.  The round's critical-path charge
-is ``max_r (words sent by r + words received by r)`` — exactly the model's
-"blocking sends, no overlap of a processor's own transfers, free
-parallelism across processors" (§1.1, including its example where two
-messages into the same processor serialize).
+The machine executes *supersteps* against per-rank stores of real numpy
+arrays.  Each round is one call with the round's complete message list,
+and its critical-path charge is ``max_r (words sent by r + words received
+by r)`` — exactly the model's "blocking sends, no overlap of a processor's
+own transfers, free parallelism across processors" (§1.1, including its
+example where two messages into the same processor serialize).
+
+Algorithms drive the machine in one of two granularities that share every
+rule:
+
+* per rank — :meth:`~Machine.put` / :meth:`~Machine.get` /
+  :meth:`~Machine.pop` / :meth:`~Machine.flop` and
+  :meth:`~Machine.exchange` with a list of :class:`Message` (Cannon,
+  SUMMA, 3D, 2.5D and the collectives);
+* per row — :meth:`~Machine.put_rows` / :meth:`~Machine.get_rows` /
+  :meth:`~Machine.pop_rows` / :meth:`~Machine.delete_rows` /
+  :meth:`~Machine.flop_rows` act on a whole rank array at once, row ``i``
+  belonging to ``ranks[i]``, and :meth:`~Machine.exchange_rows` sends one
+  payload row per message and delivers each destination's rows stacked in
+  message order under one key (level-synchronous CAPS).
+
+Both granularities store through one memory-charge rule (rank by rank, in
+order, so a row call charges exactly as the same per-rank calls would) and
+log through one superstep-tally rule (``np.bincount`` over the round's
+non-self messages).
 
 Why a simulator instead of mpi4py: the paper's quantities are *exact word
 counts*; real MPI startups, eager/rendezvous thresholds and buffering make
@@ -87,7 +105,6 @@ class Machine:
         self._flop_phase = [0] * p
         self.critical_flops = 0
         self.log = CommLog()
-        self._log_stack: list[CommLog] = [self.log]
 
     @property
     def mem_peak(self) -> np.ndarray:
@@ -105,9 +122,23 @@ class Machine:
 
     def put(self, rank: int, key: str, value: np.ndarray) -> None:
         """Store an array in a rank's local memory (replacing any old value)."""
-        value = np.ascontiguousarray(value)
         if rank < 0 or rank >= self.p:
             self._check_rank(rank)
+        self._store_one(rank, key, np.ascontiguousarray(value))
+
+    def put_rows(self, ranks, key: str, rows: np.ndarray) -> None:
+        """Store ``rows[i]`` under ``key`` on rank ``ranks[i]`` — exactly
+        ``put(ranks[i], key, rows[i])`` for each ``i`` in order."""
+        ranks = self._ranks(ranks).tolist()
+        rows = np.ascontiguousarray(rows)
+        if len(rows) != len(ranks):
+            raise ValueError(f"put_rows: {len(rows)} rows for {len(ranks)} ranks")
+        for rank, row in zip(ranks, rows):
+            self._store_one(rank, key, row)
+
+    def _store_one(self, rank: int, key: str, value: np.ndarray) -> None:
+        """The one memory-charge rule: store ``value`` under ``key``, charging
+        the size change against the rank's capacity and peak."""
         store = self._store[rank]
         old = store.get(key)
         delta = value.size - (old.size if old is not None else 0)
@@ -131,6 +162,10 @@ class Machine:
         except KeyError:
             raise KeyError(f"rank {rank} has no array {key!r}") from None
 
+    def get_rows(self, ranks, key: str) -> np.ndarray:
+        """Stack every rank's ``key`` array into one ``(len(ranks), ...)`` array."""
+        return np.array([self.get(r, key) for r in self._ranks(ranks).tolist()])
+
     def pop(self, rank: int, key: str) -> np.ndarray:
         """Remove and return a local array, releasing its memory."""
         arr = self.get(rank, key)
@@ -138,9 +173,18 @@ class Machine:
         self._mem_used[rank] -= int(arr.size)
         return arr
 
+    def pop_rows(self, ranks, key: str) -> np.ndarray:
+        """:meth:`get_rows`, then release ``key`` on every rank."""
+        return np.array([self.pop(r, key) for r in self._ranks(ranks).tolist()])
+
     def delete(self, rank: int, key: str) -> None:
         """Release a local array."""
         self.pop(rank, key)
+
+    def delete_rows(self, ranks, key: str) -> None:
+        """Release ``key`` on every rank of ``ranks``."""
+        for r in self._ranks(ranks).tolist():
+            self.pop(r, key)
 
     def has(self, rank: int, key: str) -> bool:
         self._check_rank(rank)
@@ -166,47 +210,70 @@ class Machine:
         Delivery happens after accounting, so a round is read-consistent:
         payloads must be materialized arrays, not views of receive buffers.
         """
-        step = SuperstepRecord(label=label)
-        deliveries: list[Message] = []
-        for m in messages:
-            if not isinstance(m, Message):
-                m = Message(*m)
-            self._check_rank(m.src)
-            self._check_rank(m.dst)
-            if m.src == m.dst:
-                deliveries.append(m)
-                continue
-            step.sent[m.src] = step.sent.get(m.src, 0) + m.words
-            step.recv[m.dst] = step.recv.get(m.dst, 0) + m.words
-            step.msgs[m.src] = step.msgs.get(m.src, 0) + 1
-            step.msgs[m.dst] = step.msgs.get(m.dst, 0) + 1
-            deliveries.append(m)
-        if step.sent or step.recv:
-            self._log_stack[-1].add(step)
-        for m in deliveries:
+        msgs = [m if isinstance(m, Message) else Message(*m) for m in messages]
+        self._log_superstep(
+            self._ranks([m.src for m in msgs]),
+            self._ranks([m.dst for m in msgs]),
+            np.array([m.words for m in msgs], dtype=np.int64),
+            label,
+        )
+        for m in msgs:
             self.put(m.dst, m.key, np.array(m.payload, copy=True))
 
-    # ------------------------------------------------------------------ #
-    # parallel regions                                                    #
-    # ------------------------------------------------------------------ #
+    def exchange_rows(self, src, dst, key: str, payload: np.ndarray, label: str = "") -> None:
+        """Execute one superstep whose message ``i`` carries ``payload[i]``
+        from rank ``src[i]`` to rank ``dst[i]``.
 
-    def parallel(self) -> "_ParallelRegion":
-        """Open a parallel region: sibling branches created inside it run
-        *concurrently* on disjoint rank groups, so their k-th supersteps
-        merge into one combined superstep instead of serializing.
-
-        Usage::
-
-            with machine.parallel() as par:
-                for r in range(7):
-                    with par.branch():
-                        ...   # this branch's exchanges land in its own lane
-
-        The branches must touch disjoint rank sets (asserted at merge time);
-        recursive algorithms (CAPS's BFS step) rely on this to be charged
-        the critical path of one branch, not the sum of seven.
+        Accounting is exactly :meth:`exchange` on the same messages.  Each
+        destination receives its rows stacked in message order under one
+        ``key`` (a ``(rows received, *payload.shape[1:])`` array).
         """
-        return _ParallelRegion(self)
+        src, dst = self._ranks(src), self._ranks(dst)
+        payload = np.asarray(payload)
+        if not (len(src) == len(dst) == len(payload)):
+            raise ValueError(
+                f"exchange_rows: {len(src)} sources, {len(dst)} destinations, "
+                f"{len(payload)} payload rows"
+            )
+        row_words = int(np.prod(payload.shape[1:], dtype=np.int64))
+        self._log_superstep(src, dst, np.full(len(src), row_words, dtype=np.int64), label)
+        if not len(dst):
+            return
+        order = np.argsort(dst, kind="stable")
+        rows = payload[order]                     # fancy indexing: a snapshot
+        dests, counts = np.unique(dst[order], return_counts=True)
+        ends = np.cumsum(counts).tolist()
+        for rank, lo, hi in zip(dests.tolist(), [0] + ends[:-1], ends):
+            self._store_one(rank, key, rows[lo:hi])
+
+    def _log_superstep(
+        self, src: np.ndarray, dst: np.ndarray, words: np.ndarray, label: str
+    ) -> None:
+        """The one superstep-tally rule: per-rank words sent/received and
+        messages handled over the non-self messages; a round with none is
+        not logged."""
+        cross = src != dst
+        if not cross.any():
+            return
+        src, dst, words = src[cross], dst[cross], words[cross]
+        p = self.p
+        n_out = np.bincount(src, minlength=p)
+        n_in = np.bincount(dst, minlength=p)
+        w_out = np.bincount(src, weights=words, minlength=p).astype(np.int64)
+        w_in = np.bincount(dst, weights=words, minlength=p).astype(np.int64)
+        n_all = n_out + n_in
+
+        def tally(active: np.ndarray, values: np.ndarray) -> dict[int, int]:
+            return dict(zip(active.tolist(), values[active].tolist()))
+
+        self.log.add(
+            SuperstepRecord(
+                sent=tally(np.flatnonzero(n_out), w_out),
+                recv=tally(np.flatnonzero(n_in), w_in),
+                msgs=tally(np.flatnonzero(n_all), n_all),
+                label=label,
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # computation                                                         #
@@ -216,10 +283,18 @@ class Machine:
         """Charge ``count`` arithmetic operations to a rank (current phase)."""
         if rank < 0 or rank >= self.p:
             self._check_rank(rank)
+        self._flop_each((rank,), count)
+
+    def flop_rows(self, ranks, count: int) -> None:
+        """Charge ``count`` arithmetic operations to every rank of ``ranks``."""
+        self._flop_each(self._ranks(ranks).tolist(), count)
+
+    def _flop_each(self, ranks, count: int) -> None:
         if count < 0:
             raise ValueError("negative flop count")
-        self._flops[rank] += count
-        self._flop_phase[rank] += count
+        for rank in ranks:
+            self._flops[rank] += count
+            self._flop_phase[rank] += count
 
     def end_compute_phase(self) -> None:
         """Close a compute phase: the slowest rank's flops join the critical
@@ -262,70 +337,10 @@ class Machine:
         if not (0 <= rank < self.p):
             raise ValueError(f"rank {rank} out of range [0, {self.p})")
 
-
-class _ParallelRegion:
-    """Context manager collecting sibling branch lanes (see Machine.parallel)."""
-
-    def __init__(self, machine: Machine):
-        self._m = machine
-        self._lanes: list[CommLog] = []
-
-    def __enter__(self) -> "_ParallelRegion":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            return
-        # Merge lanes positionally: the region's k-th superstep is the union
-        # of every branch's k-th superstep (branches use disjoint ranks).
-        depth = max((len(lane.steps) for lane in self._lanes), default=0)
-        target = self._m._log_stack[-1]
-        for k in range(depth):
-            merged = SuperstepRecord(label="par")
-            for lane in self._lanes:
-                if k >= len(lane.steps):
-                    continue
-                s = lane.steps[k]
-                if not merged.label or merged.label == "par":
-                    merged.label = s.label
-                for r, w in s.sent.items():
-                    if r in merged.sent:
-                        raise ValueError(
-                            "parallel branches must use disjoint ranks "
-                            f"(rank {r} sends in two branches)"
-                        )
-                    merged.sent[r] = w
-                for r, w in s.recv.items():
-                    if r in merged.recv:
-                        raise ValueError(
-                            "parallel branches must use disjoint ranks "
-                            f"(rank {r} receives in two branches)"
-                        )
-                    merged.recv[r] = w
-                for r, c in s.msgs.items():
-                    if r in merged.msgs:
-                        raise ValueError("parallel branches must use disjoint ranks")
-                    merged.msgs[r] = c
-            if merged.sent or merged.recv:
-                target.add(merged)
-
-    def branch(self) -> "_BranchLane":
-        return _BranchLane(self)
-
-
-class _BranchLane:
-    """One branch of a parallel region: its supersteps go to a private lane."""
-
-    def __init__(self, region: _ParallelRegion):
-        self._region = region
-        self._lane = CommLog()
-
-    def __enter__(self) -> "_BranchLane":
-        self._region._m._log_stack.append(self._lane)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        popped = self._region._m._log_stack.pop()
-        assert popped is self._lane
-        if exc_type is None:
-            self._region._lanes.append(self._lane)
+    def _ranks(self, ranks) -> np.ndarray:
+        """Ranks as a flat int64 array, every one checked against [0, p)."""
+        arr = np.asarray(ranks, dtype=np.int64).ravel()
+        bad = (arr < 0) | (arr >= self.p)
+        if bad.any():
+            self._check_rank(int(arr[bad][0]))
+        return arr

@@ -33,6 +33,21 @@ each group of g processors owns the elements of its current block
   and the target interleaves the 7 chunks it receives (``out[w::7] = …``);
 * at the base (g = 1) the processor holds one contiguous leaf cell in
   row-major order — a plain in-core multiply.
+
+Execution is level-synchronous.  ``_caps`` runs one schedule step on a
+``(G, g)`` array of ranks — G concurrent groups of g ranks, each holding
+its own subproblem under the same keys — through the machine's row
+primitives, so encode, decode and the leaf multiply are each one numpy
+operation over all G·g ranks.  A BFS step's t₀ subgroups recurse as one
+call on the ``(G·t₀, g/t₀)`` reshape.  This charges exactly what running
+the siblings one after another and merging their k-th supersteps would:
+siblings have identical structure on disjoint ranks, so the k-th
+superstep of the batch *is* the union of their k-th supersteps, and each
+rank still sees its own puts, pops and flops in the same order.  A DFS
+step loops over its t₀ subproblems in order, as before, so memory peaks
+are unchanged.  Linear combinations are vectorised over ranks, never over
+coefficients: each sum accumulates term by term as one rank would, so C
+is bit-identical to the rank-by-rank arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +57,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.cdag.schemes import BilinearScheme, get_scheme
-from repro.machine.distributed import Machine, Message
+from repro.machine.distributed import Machine
 from repro.parallel.base import (
     AnalyticCost,
     ParallelAlgorithm,
@@ -335,42 +350,22 @@ class Caps(ParallelAlgorithm):
         depth = len(schedule)
 
         perm = block_permutation(n, depth, scheme.n0)
-        a_flat = A.ravel()[perm]
-        b_flat = B.ravel()[perm]
-        for r in range(p):
-            m.put(r, "A", a_flat[r::p])
-            m.put(r, "B", b_flat[r::p])
+        # rank r owns quadtree positions r, r+p, r+2p, ...: column r of the
+        # (n²/p, p) view of the flattening
+        ranks = np.arange(p)
+        m.put_rows(ranks, "A", A.ravel()[perm].reshape(-1, p).T)
+        m.put_rows(ranks, "B", B.ravel()[perm].reshape(-1, p).T)
 
-        _caps(m, list(range(p)), "A", "B", "C", n, schedule, 0, scheme)
+        _caps(m, ranks.reshape(1, p), "A", "B", "C", n, schedule, 0, scheme)
 
-        c_flat = np.empty(n * n)
-        for r in range(p):
-            c_flat[r::p] = m.get(r, "C")
         C = np.empty(n * n)
-        C[perm] = c_flat
+        C[perm] = m.get_rows(ranks, "C").T.ravel()
         return C.reshape(n, n)
-
-
-def _lin_combo(m: Machine, rank: int, coeffs: np.ndarray, segments: list[np.ndarray]) -> np.ndarray:
-    """Local linear combination of chunk segments (flops charged)."""
-    out = None
-    terms = 0
-    for c, seg in zip(coeffs, segments):
-        if c == 0:
-            continue
-        term = seg if c == 1 else c * seg
-        out = term.copy() if out is None else out + term
-        terms += 1
-    if out is None:
-        out = np.zeros_like(segments[0])
-    if terms:
-        m.flop(rank, terms * int(out.size))
-    return out
 
 
 def _caps(
     m: Machine,
-    group: Sequence[int],
+    ranks: np.ndarray,
     key_a: str,
     key_b: str,
     key_c: str,
@@ -379,133 +374,162 @@ def _caps(
     si: int,
     scheme: BilinearScheme,
 ) -> None:
-    g = len(group)
+    """Run schedule step ``si`` on every group of ``ranks`` at once.
+
+    ``ranks`` has shape ``(G, g)``: G concurrent groups of g ranks, each
+    holding its own size-``s`` subproblem under the same keys.
+    """
+    G, g = ranks.shape
+    flat = ranks.ravel()
     if si == len(schedule):
         assert g == 1, "recursion must bottom out on a single processor"
-        rank = group[0]
-        a = m.get(rank, key_a).reshape(s, s)
-        b = m.get(rank, key_b).reshape(s, s)
-        c = a @ b
-        m.flop(rank, 2 * s * s * s - s * s)
-        m.put(rank, key_c, c.ravel())
+        a = m.get_rows(flat, key_a).reshape(G, s, s)
+        b = m.get_rows(flat, key_b).reshape(G, s, s)
+        m.flop_rows(flat, 2 * s * s * s - s * s)
+        m.put_rows(flat, key_c, (a @ b).reshape(G, s * s))
         return
-    t0 = scheme.t0
-    n0 = scheme.n0
-    c0 = scheme.c_blocks                  # blocks per matrix (n0² square)
+    t0, n0 = scheme.t0, scheme.n0
     seg = (s // n0) * (s // n0) // g      # per-rank words of one block
-    step = schedule[si]
 
-    if step == "D":
-        # All processors walk the t0 subproblems together; zero communication.
+    if schedule[si] == "D":
+        # Every group walks its t0 subproblems in order; zero communication.
         q_keys = []
         for r in range(t0):
             ka, kb, kq = f"{key_a}.s{r}", f"{key_b}.t{r}", f"{key_c}.q{r}"
-            for rank in group:
-                a_chunk = m.get(rank, key_a)
-                b_chunk = m.get(rank, key_b)
-                a_segs = [a_chunk[q * seg : (q + 1) * seg] for q in range(c0)]
-                b_segs = [b_chunk[q * seg : (q + 1) * seg] for q in range(c0)]
-                m.put(rank, ka, _lin_combo(m, rank, scheme.U[r], a_segs))
-                m.put(rank, kb, _lin_combo(m, rank, scheme.V[r], b_segs))
-            _caps(m, group, ka, kb, kq, s // n0, schedule, si + 1, scheme)
-            for rank in group:
-                m.delete(rank, ka)
-                m.delete(rank, kb)
+            _encode(m, flat, key_a, ka, scheme.U[r : r + 1], seg)
+            _encode(m, flat, key_b, kb, scheme.V[r : r + 1], seg)
+            _caps(m, ranks, ka, kb, kq, s // n0, schedule, si + 1, scheme)
+            m.delete_rows(flat, ka)
+            m.delete_rows(flat, kb)
             q_keys.append(kq)
-        for rank in group:
-            q_chunks = [m.get(rank, kq) for kq in q_keys]
-            out = np.concatenate(
-                [_lin_combo(m, rank, scheme.W[q], q_chunks) for q in range(c0)]
-            )
-            m.put(rank, key_c, out)
-        for rank in group:
-            for kq in q_keys:
-                m.delete(rank, kq)
+        q = np.stack([m.get_rows(flat, kq) for kq in q_keys], axis=1)
+        m.put_rows(flat, key_c, _combine(m, flat, scheme.W, q).reshape(len(flat), -1))
+        for kq in q_keys:
+            m.delete_rows(flat, kq)
         return
 
-    # --- BFS step -------------------------------------------------------
+    # BFS: subgroup r of group i is ranks[i, r·g/t0 : (r+1)·g/t0], so all
+    # G·t0 subgroups recurse as one call on the (G·t0, g/t0) reshape.
+    sub_a, sub_b, sub_c = f"{key_a}.s", f"{key_b}.t", f"{key_c}.q"
+    _bfs_scatter(m, ranks, key_a, key_b, sub_a, sub_b, seg, si, scheme)
+    _caps(m, ranks.reshape(G * t0, g // t0), sub_a, sub_b, sub_c, s // n0, schedule, si + 1, scheme)
+    m.delete_rows(flat, sub_a)
+    m.delete_rows(flat, sub_b)
+    _bfs_gather(m, ranks, sub_c, key_c, seg, si, scheme)
+
+
+def _combine(m: Machine, flat: np.ndarray, coeffs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``out[:, i] = Σ_q coeffs[i, q]·blocks[:, q]`` on every rank at once.
+
+    ``blocks`` is ``(ranks, q, seg)``.  Each sum accumulates term by term in
+    q order, skipping zero coefficients, exactly as one rank would, so the
+    result is bit-identical to the per-rank arithmetic; flops are charged.
+    """
+    n_ranks, _, seg = blocks.shape
+    out = np.empty((n_ranks, len(coeffs), seg))
+    terms = 0
+    for i, row in enumerate(coeffs):
+        acc = out[:, i]
+        first = True
+        for q, c in enumerate(row):
+            if c == 0:
+                continue
+            term = blocks[:, q] if c == 1 else c * blocks[:, q]
+            if first:
+                acc[...] = term
+                first = False
+            else:
+                acc += term
+            terms += 1
+        if first:
+            acc[...] = 0.0
+    m.flop_rows(flat, terms * seg)
+    return out
+
+
+def _encode(
+    m: Machine, flat: np.ndarray, key: str, out_key: str, coeffs: np.ndarray, seg: int
+) -> np.ndarray:
+    """Store the linear combinations ``coeffs`` of ``key``'s n₀² block
+    chunks under ``out_key``, concatenated, on every rank; return them as
+    a ``(ranks, len(coeffs), seg)`` array."""
+    blocks = m.get_rows(flat, key).reshape(len(flat), -1, seg)
+    out = _combine(m, flat, coeffs, blocks)
+    m.put_rows(flat, out_key, out.reshape(len(flat), -1))
+    return out
+
+
+def _bfs_scatter(
+    m: Machine,
+    ranks: np.ndarray,
+    key_a: str,
+    key_b: str,
+    child_a: str,
+    child_b: str,
+    seg: int,
+    si: int,
+    scheme: BilinearScheme,
+) -> None:
+    """Encode S_r/T_r and redistribute them onto the t₀ subgroups.
+
+    Rank at group position ``a`` sends its chunk of S_r (and T_r) to
+    position ``a mod g/t₀`` of subgroup r, so each target receives one chunk
+    per lane ``a // (g/t₀)``.  Element t of S_r sat at parent position
+    ``t mod g = b + lane·g/t₀``, so the child's chunk (t₀·seg words)
+    interleaves the t₀ lanes.
+    """
+    g = ranks.shape[1]
+    t0 = scheme.t0
     gsub = g // t0
-    subgroups = [group[r * gsub : (r + 1) * gsub] for r in range(t0)]
+    flat = ranks.ravel()
+    n_ranks = len(flat)
+    s_chunks = _encode(m, flat, key_a, "__S", scheme.U, seg)
+    t_chunks = _encode(m, flat, key_b, "__T", scheme.V, seg)
+    payload = np.concatenate([s_chunks.reshape(-1, seg), t_chunks.reshape(-1, seg)])
+    del s_chunks, t_chunks
+    # message (rank at (i, a), r) → ranks[i, r·gsub + a mod gsub]; all S
+    # messages, then all T messages
+    pos = np.arange(t0) * gsub + (np.arange(g) % gsub)[:, None]
+    src = np.tile(np.repeat(flat, t0), 2)
+    dst = np.tile(ranks[:, pos].ravel(), 2)
+    m.exchange_rows(src, dst, "__STin", payload, label=f"caps-bfs-fwd@{si}")
+    del payload
+    m.delete_rows(flat, "__S")
+    m.delete_rows(flat, "__T")
+    # each target got S lanes 0..t0-1, then T lanes 0..t0-1: interleave
+    got = m.pop_rows(flat, "__STin")
+    m.put_rows(flat, child_a, got[:, :t0].transpose(0, 2, 1).reshape(n_ranks, t0 * seg))
+    m.put_rows(flat, child_b, got[:, t0:].transpose(0, 2, 1).reshape(n_ranks, t0 * seg))
 
-    # 1. Local encode: all S_r, T_r chunks.
-    for rank in group:
-        a_chunk = m.get(rank, key_a)
-        b_chunk = m.get(rank, key_b)
-        a_segs = [a_chunk[q * seg : (q + 1) * seg] for q in range(c0)]
-        b_segs = [b_chunk[q * seg : (q + 1) * seg] for q in range(c0)]
-        for r in range(t0):
-            m.put(rank, f"__S{r}", _lin_combo(m, rank, scheme.U[r], a_segs))
-            m.put(rank, f"__T{r}", _lin_combo(m, rank, scheme.V[r], b_segs))
 
-    # 2. Redistribute: S_r/T_r go from cyclic-mod-g to cyclic-mod-gsub on
-    #    subgroup r.  Each source chunk lands on exactly one target.
-    msgs = []
-    for a_idx, rank in enumerate(group):
-        tgt_pos = a_idx % gsub
-        for r in range(t0):
-            src_lane = a_idx // gsub    # which of the t0 interleaved lanes
-            tgt = subgroups[r][tgt_pos]
-            msgs.append(Message(rank, tgt, f"__Sin{r}.{src_lane}", m.get(rank, f"__S{r}")))
-            msgs.append(Message(rank, tgt, f"__Tin{r}.{src_lane}", m.get(rank, f"__T{r}")))
-    m.exchange(msgs, label=f"caps-bfs-fwd@{si}")
-    for rank in group:
-        for r in range(t0):
-            m.delete(rank, f"__S{r}")
-            m.delete(rank, f"__T{r}")
+def _bfs_gather(
+    m: Machine,
+    ranks: np.ndarray,
+    child_c: str,
+    key_c: str,
+    seg: int,
+    si: int,
+    scheme: BilinearScheme,
+) -> None:
+    """Inverse redistribution and local decode into C chunks.
 
-    # 3. Assemble subproblem inputs on each subgroup: element t of S_r sat
-    #    at parent position t mod g = b + lane·gsub, so the child's chunk
-    #    (length (s/n0)²/gsub = t0·seg) interleaves the t0 received lanes.
-    for r in range(t0):
-        for b_idx, rank in enumerate(subgroups[r]):
-            out_s = np.empty(t0 * seg)
-            out_t = np.empty(t0 * seg)
-            for lane in range(t0):
-                out_s[lane::t0] = m.pop(rank, f"__Sin{r}.{lane}")
-                out_t[lane::t0] = m.pop(rank, f"__Tin{r}.{lane}")
-            m.put(rank, f"{key_a}.s{r}", out_s)
-            m.put(rank, f"{key_b}.t{r}", out_t)
-
-    # 4. Recurse on all subgroups *in parallel*.
-    with m.parallel() as par:
-        for r in range(t0):
-            with par.branch():
-                _caps(
-                    m,
-                    subgroups[r],
-                    f"{key_a}.s{r}",
-                    f"{key_b}.t{r}",
-                    f"{key_c}.q{r}",
-                    s // n0,
-                    schedule,
-                    si + 1,
-                    scheme,
-                )
-    for r in range(t0):
-        for rank in subgroups[r]:
-            m.delete(rank, f"{key_a}.s{r}")
-            m.delete(rank, f"{key_b}.t{r}")
-
-    # 5. Inverse redistribution: parent position a needs Q_r elements
-    #    t ≡ a (mod g): the slice [w::t0] of child (a mod gsub)'s chunk,
-    #    where w = a // gsub.
-    msgs = []
-    for r in range(t0):
-        for b_idx, rank in enumerate(subgroups[r]):
-            q_chunk = m.get(rank, f"{key_c}.q{r}")
-            for lane in range(t0):
-                parent = group[lane * gsub + b_idx]
-                msgs.append(Message(rank, parent, f"__Qin{r}", q_chunk[lane::t0]))
-    m.exchange(msgs, label=f"caps-bfs-bwd@{si}")
-    for r in range(t0):
-        for rank in subgroups[r]:
-            m.delete(rank, f"{key_c}.q{r}")
-
-    # 6. Local decode into C chunks (each parent got exactly one __Qin{r}
-    #    message per subproblem, from child position a mod gsub of group r).
-    for a_idx, rank in enumerate(group):
-        q_chunks = [m.pop(rank, f"__Qin{r}") for r in range(t0)]
-        out = np.concatenate(
-            [_lin_combo(m, rank, scheme.W[q], q_chunks) for q in range(c0)]
-        )
-        m.put(rank, key_c, out)
+    Parent position ``a = lane·g/t₀ + b`` needs the Q_r elements
+    ``t ≡ a (mod g)``: the slice ``[lane::t₀]`` of child b of subgroup r.
+    """
+    G, g = ranks.shape
+    t0 = scheme.t0
+    gsub = g // t0
+    flat = ranks.ravel()
+    n_ranks = len(flat)
+    q = m.get_rows(flat, child_c)
+    # message (child (i, r, b), lane) → ranks[i, lane·gsub + b]
+    pos = np.arange(t0) * gsub + np.arange(gsub)[:, None]
+    dst = np.broadcast_to(ranks[:, None, pos], (G, t0, gsub, t0))
+    payload = q.reshape(n_ranks, seg, t0).transpose(0, 2, 1).reshape(n_ranks * t0, seg)
+    del q
+    m.exchange_rows(np.repeat(flat, t0), dst.ravel(), "__Qin", payload, label=f"caps-bfs-bwd@{si}")
+    del payload
+    m.delete_rows(flat, child_c)
+    # each parent got Q_0..Q_{t0-1} in order (sources sorted by subgroup r)
+    got = m.pop_rows(flat, "__Qin")
+    m.put_rows(flat, key_c, _combine(m, flat, scheme.W, got).reshape(n_ranks, -1))

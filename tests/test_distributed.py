@@ -119,50 +119,92 @@ class TestExchange:
         assert sum(step.sent.values()) == sum(step.recv.values()) == 16
 
 
-class TestParallelRegions:
-    def test_branches_merge_positionally(self):
-        m = Machine(4)
-        with m.parallel() as par:
-            with par.branch():
-                m.exchange([(0, 1, "a", np.zeros(10))])
-            with par.branch():
-                m.exchange([(2, 3, "b", np.zeros(10))])
-        # one merged superstep, not two
-        assert m.log.n_supersteps == 1
-        assert m.critical_words == 10
+class TestRowPrimitives:
+    def _messages(self):
+        # fan-in at rank 2, a self-send at rank 3, a two-way swap of 0 and 1
+        src = [0, 1, 3, 1, 0, 3]
+        dst = [2, 2, 3, 0, 1, 2]
+        payload = np.arange(6 * 4, dtype=np.float64).reshape(6, 4)
+        return src, dst, payload
 
-    def test_uneven_branches(self):
-        m = Machine(4)
-        with m.parallel() as par:
-            with par.branch():
-                m.exchange([(0, 1, "a", np.zeros(5))])
-                m.exchange([(0, 1, "a2", np.zeros(5))])
-            with par.branch():
-                m.exchange([(2, 3, "b", np.zeros(5))])
-        assert m.log.n_supersteps == 2
+    def test_exchange_rows_tallies_equal_exchange(self):
+        src, dst, payload = self._messages()
+        by_rows, by_msgs = Machine(5), Machine(5)
+        by_rows.exchange_rows(src, dst, "x", payload, label="step")
+        by_msgs.exchange(
+            [(s, d, f"x{i}", payload[i]) for i, (s, d) in enumerate(zip(src, dst))],
+            label="step",
+        )
+        assert by_rows.log.steps == by_msgs.log.steps
+        assert by_rows.critical_words == by_msgs.critical_words == 12
+        assert by_rows.critical_messages == by_msgs.critical_messages == 3
 
-    def test_overlapping_ranks_rejected(self):
-        m = Machine(4)
-        with pytest.raises(ValueError, match="disjoint"):
-            with m.parallel() as par:
-                with par.branch():
-                    m.exchange([(0, 1, "a", np.zeros(5))])
-                with par.branch():
-                    m.exchange([(0, 2, "b", np.zeros(5))])
+    def test_destination_receives_rows_stacked_in_message_order(self):
+        src, dst, payload = self._messages()
+        m = Machine(5)
+        m.exchange_rows(src, dst, "x", payload)
+        assert np.array_equal(m.get(2, "x"), payload[[0, 1, 5]])
+        assert np.array_equal(m.get(3, "x"), payload[[2]])
+        assert m.mem_used(2) == 12 and not m.has(4, "x")
 
-    def test_nested_regions(self):
-        m = Machine(8)
-        with m.parallel() as par:
-            with par.branch():
-                with m.parallel() as inner:
-                    with inner.branch():
-                        m.exchange([(0, 1, "a", np.zeros(4))])
-                    with inner.branch():
-                        m.exchange([(2, 3, "b", np.zeros(4))])
-            with par.branch():
-                m.exchange([(4, 5, "c", np.zeros(4))])
-        assert m.log.n_supersteps == 1
-        assert m.critical_words == 4
+    def test_exchange_rows_snapshots_payload(self):
+        m = Machine(2)
+        buf = np.zeros((1, 3))
+        m.exchange_rows([0], [1], "a", buf)
+        buf[:] = 9.0
+        assert np.array_equal(m.get(1, "a"), np.zeros((1, 3)))
+
+    def test_exchange_rows_self_sends_are_free(self):
+        m = Machine(3)
+        m.exchange_rows([0, 1, 2], [0, 1, 2], "x", np.ones((3, 5)))
+        assert m.log.n_supersteps == 0 and m.critical_words == 0
+        assert np.array_equal(m.get(1, "x"), np.ones((1, 5)))
+
+    @pytest.mark.parametrize("src,dst", [([0, 4], [1, 1]), ([0, 1], [1, -1])])
+    def test_exchange_rows_rejects_out_of_range_ranks(self, src, dst):
+        m = Machine(4)
+        with pytest.raises(ValueError, match="out of range"):
+            m.exchange_rows(src, dst, "x", np.zeros((2, 3)))
+        assert m.log.n_supersteps == 0
+
+    def test_row_storage_matches_per_rank_calls(self):
+        rows_m, rank_m = Machine(3), Machine(3)
+        rows = np.arange(6.0).reshape(3, 2)
+        rows_m.put_rows([2, 0, 1], "x", rows)
+        for r, row in zip([2, 0, 1], rows):
+            rank_m.put(r, "x", row)
+        assert np.array_equal(rows_m.get_rows([0, 1, 2], "x"), rows[[1, 2, 0]])
+        assert np.array_equal(rows_m.pop_rows([2], "x"), rows[[0]])
+        rows_m.delete_rows([0, 1], "x")
+        rank_m.delete(2, "x")
+        rank_m.delete(0, "x")
+        rank_m.delete(1, "x")
+        assert [rows_m.mem_used(r) for r in range(3)] == [0, 0, 0]
+        assert np.array_equal(rows_m.mem_peak, rank_m.mem_peak)
+        rows_m.flop_rows([0, 2], 5)
+        assert list(rows_m.flops) == [5, 0, 5]
+        with pytest.raises(ValueError, match="out of range"):
+            rows_m.put_rows([0, 3], "y", np.zeros((2, 1)))
+
+    def test_put_rows_memory_error_matches_repeated_put(self):
+        # rank 1 is the first whose running total passes the limit; both
+        # paths raise there, naming it and the key, after storing rank 0
+        def prepare():
+            m = Machine(3, memory_limit=6)
+            m.put(1, "old", np.zeros(3))
+            m.put(2, "old", np.zeros(4))
+            return m
+
+        rows = np.zeros((3, 4))
+        by_rows, by_put = prepare(), prepare()
+        with pytest.raises(MemoryError, match=r"rank 1 .*'new'"):
+            by_rows.put_rows([0, 1, 2], "new", rows)
+        with pytest.raises(MemoryError, match=r"rank 1 .*'new'"):
+            for r in range(3):
+                by_put.put(r, "new", rows[r])
+        for m in (by_rows, by_put):
+            assert m.has(0, "new") and not m.has(1, "new") and not m.has(2, "new")
+            assert [m.mem_used(r) for r in range(3)] == [4, 3, 4]
 
 
 class TestFlops:

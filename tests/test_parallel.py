@@ -284,7 +284,8 @@ class TestCaps:
         r_db = caps_multiply(A, B, 1, schedule="DB")
         # DB: the D step adds no supersteps; only the B step's 2 remain,
         # but run 7 times (once per DFS branch) = 14
-        assert all("caps-bfs" in s.label for s in r_db.machine.log.steps)
+        labels = [s.label for s in r_db.machine.log.steps]
+        assert labels == ["caps-bfs-fwd@1", "caps-bfs-bwd@1"] * 7
 
     def test_rectangular_scheme_rejected(self):
         A, B = _pair(16)
@@ -304,3 +305,25 @@ class TestCaps:
         # the all-BFS schedule cannot run within the lean footprint
         with pytest.raises(MemoryError):
             caps_multiply(A, B, 2, schedule="BB", memory_limit=lean)
+
+
+class TestCapsMemorySweep:
+    def test_rows_are_the_valid_schedules(self):
+        from repro.experiments.table1 import caps_memory_sweep
+
+        rows = caps_memory_sweep(n=56)["rows"]
+        assert [r["schedule"] for r in rows] == ["BB", "DBB", "BDB", "BBD"]
+        assert all(r["verified"] for r in rows)
+
+    def test_simulation_errors_propagate(self, monkeypatch):
+        # a ValueError raised inside the simulation is a bug, not an
+        # invalid schedule: the sweep must not silently drop the row
+        import repro.parallel.caps as caps_mod
+        from repro.experiments.table1 import caps_memory_sweep
+
+        def broken(*args, **kwargs):
+            raise ValueError("simulated failure inside the CAPS recursion")
+
+        monkeypatch.setattr(caps_mod, "_caps", broken)
+        with pytest.raises(ValueError, match="simulated failure"):
+            caps_memory_sweep(n=56)
