@@ -191,25 +191,16 @@ def _measure(point: ScalingPoint) -> dict:
         memory_limit=point.memory_limit,
     )
     r = algo.execute(A, B, cfg, verify=True)
-    steps = r.machine.log.steps
-    step_words = np.zeros((len(steps), point.p), dtype=np.int64)
-    step_msgs = np.zeros((len(steps), point.p), dtype=np.int64)
-    for i, s in enumerate(steps):
-        for rk, w in s.sent.items():
-            step_words[i, rk] += w
-        for rk, w in s.recv.items():
-            step_words[i, rk] += w
-        for rk, cnt in s.msgs.items():
-            step_msgs[i, rk] = cnt
+    log = r.machine.log
     return {
         "critical_words": r.critical_words,
         "critical_messages": r.critical_messages,
         "max_mem_peak": r.max_mem_peak,
-        "total_words": r.machine.log.total_words,
-        "supersteps": r.machine.log.n_supersteps,
+        "total_words": log.total_words,
+        "supersteps": log.n_supersteps,
         "verified": int(bool(r.verified)),
-        "step_words": step_words,
-        "step_msgs": step_msgs,
+        "step_words": log.step_words,
+        "step_msgs": log.step_msgs,
         "label": r.algorithm,
     }
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = ["IOCounter", "SuperstepRecord", "CommLog"]
 
 
@@ -134,24 +136,110 @@ class SuperstepRecord:
         return sum(self.sent.values())
 
 
-@dataclass
 class CommLog:
-    """Accumulated parallel-communication record across supersteps."""
+    """Accumulated parallel-communication record across supersteps.
 
-    steps: list[SuperstepRecord] = field(default_factory=list)
+    Each superstep is kept as dense per-rank int64 rows — words sent, words
+    received, messages handled — plus which ranks sent and which received,
+    and every total below is one numpy reduction over the stacked
+    ``(S, p)`` arrays.  :class:`SuperstepRecord` dicts are built only when
+    :attr:`steps` is read.
+    """
+
+    _FIELDS = ("sent", "recv", "msgs", "senders", "receivers")
+
+    def __init__(self, p: int = 0):
+        self.p = int(p)
+        self.labels: list[str] = []
+        self._rows: dict[str, list[np.ndarray]] = {f: [] for f in self._FIELDS}
+        self._stacked: dict[str, np.ndarray] | None = None
+        self._records: list[SuperstepRecord] | None = None
+
+    def record(
+        self, sent: np.ndarray, recv: np.ndarray, n_out: np.ndarray, n_in: np.ndarray,
+        label: str = "",
+    ) -> None:
+        """Append one superstep from ``(p,)`` per-rank words sent/received
+        and messages sent/received."""
+        self._append(label, sent, recv, n_out + n_in, n_out > 0, n_in > 0)
 
     def add(self, step: SuperstepRecord) -> None:
-        self.steps.append(step)
+        """Append a :class:`SuperstepRecord` (ranks in its dicts are kept as
+        given, widening the log if a rank is ≥ ``p``)."""
+        width = 1 + max([self.p - 1, *step.sent, *step.recv, *step.msgs])
+        if width > self.p:
+            for rows in self._rows.values():
+                rows[:] = [np.pad(row, (0, width - self.p)) for row in rows]
+            self.p = width
+
+        def dense(tally: dict[int, int], values=None) -> np.ndarray:
+            row = np.zeros(self.p, dtype=np.int64 if values is None else bool)
+            row[list(tally)] = list(tally.values()) if values is None else values
+            return row
+
+        self._append(
+            step.label, dense(step.sent), dense(step.recv), dense(step.msgs),
+            dense(step.sent, True), dense(step.recv, True),
+        )
+
+    def _append(self, label: str, *rows: np.ndarray) -> None:
+        self.labels.append(label)
+        for field_rows, row in zip(self._rows.values(), rows):
+            field_rows.append(row)
+        self._stacked = None
+        self._records = None
+
+    def _dense(self) -> dict[str, np.ndarray]:
+        if self._stacked is None:
+            self._stacked = {
+                f: np.array(rows) if rows else np.zeros((0, self.p), dtype=np.int64)
+                for f, rows in self._rows.items()
+            }
+        return self._stacked
+
+    @property
+    def steps(self) -> list[SuperstepRecord]:
+        """Per-superstep records (built from the dense rows on first read)."""
+        if self._records is None:
+            d = self._dense()
+
+            def tally(mask: np.ndarray, values: np.ndarray) -> dict[int, int]:
+                active = np.flatnonzero(mask)
+                return dict(zip(active.tolist(), values[active].tolist()))
+
+            self._records = [
+                SuperstepRecord(
+                    sent=tally(senders, sent),
+                    recv=tally(receivers, recv),
+                    msgs=tally(msgs > 0, msgs),
+                    label=label,
+                )
+                for label, sent, recv, msgs, senders, receivers in zip(
+                    self.labels, *d.values()
+                )
+            ]
+        return self._records
+
+    @property
+    def step_words(self) -> np.ndarray:
+        """``(S, p)`` words each rank sent plus received, per superstep."""
+        d = self._dense()
+        return d["sent"] + d["recv"]
+
+    @property
+    def step_msgs(self) -> np.ndarray:
+        """``(S, p)`` messages each rank handled, per superstep."""
+        return self._dense()["msgs"]
 
     @property
     def critical_words(self) -> int:
         """Bandwidth cost along the critical path (Yang–Miller counting)."""
-        return sum(s.critical_words() for s in self.steps)
+        return int(self.step_words.max(axis=1, initial=0).sum())
 
     @property
     def critical_messages(self) -> int:
         """Latency cost along the critical path."""
-        return sum(s.critical_messages() for s in self.steps)
+        return int(self.step_msgs.max(axis=1, initial=0).sum())
 
     def time(self, alpha: float, beta: float) -> float:
         """α–β critical-path time: ``Σ_steps max_r (α·msgs_r + β·words_r)``.
@@ -159,15 +247,20 @@ class CommLog:
         The per-superstep coupling makes this the time a machine with
         per-message latency α and per-word cost β actually spends, summed
         along the critical path; it never exceeds the separable estimate
-        ``α·critical_messages + β·critical_words``.
+        ``α·critical_messages + β·critical_words``.  The max runs over the
+        ranks active in the step, and the steps are summed in order.
         """
-        return sum(s.time(alpha, beta) for s in self.steps)
+        d = self._dense()
+        active = d["senders"] | d["receivers"] | (d["msgs"] > 0)
+        per_rank = np.where(active, alpha * d["msgs"] + beta * self.step_words, -np.inf)
+        per_step = np.where(active.any(axis=1), per_rank.max(axis=1, initial=-np.inf), 0.0)
+        return sum(per_step.tolist())
 
     @property
     def total_words(self) -> int:
         """Aggregate words over all processors (= p × per-proc average)."""
-        return sum(s.total_words() for s in self.steps)
+        return int(self._dense()["sent"].sum())
 
     @property
     def n_supersteps(self) -> int:
-        return len(self.steps)
+        return len(self.labels)

@@ -69,21 +69,28 @@ class Grid3D:
         return [self.rank(i, j, layer) for layer in range(self.c)]
 
 
-def distribute_blocks(m: Machine, X: np.ndarray, key: str, grid: Grid2D, layer_rank=None) -> None:
-    """Place the q×q blocks of X on the grid (free: initial data layout).
+def _block_ranks(grid: Grid2D, layer_rank=None) -> np.ndarray:
+    """``(q, q)`` array of the rank owning block (i, j)."""
+    q = grid.q
+    if layer_rank is None:
+        return np.arange(q * q).reshape(q, q)
+    return np.array([[layer_rank(i, j) for j in range(q)] for i in range(q)])
 
-    ``layer_rank(i, j) -> rank`` overrides the target ranks (used by 3D/2.5D
-    to put inputs on layer 0 of a deeper grid).
+
+def distribute_blocks(m: Machine, X: np.ndarray, key: str, grid: Grid2D, layer_rank=None) -> None:
+    """Place the q×q blocks of X on the grid (free: initial data layout),
+    one row call in row-major block order.
+
+    ``layer_rank(i, j) -> rank`` overrides the target ranks (used to put
+    inputs on another layer of a deeper grid).
     """
     n = X.shape[0]
     q = grid.q
     if n % q != 0:
         raise ValueError(f"matrix size {n} not divisible by grid size {q}")
     b = n // q
-    for i in range(q):
-        for j in range(q):
-            rank = layer_rank(i, j) if layer_rank else grid.rank(i, j)
-            m.put(rank, key, X[i * b : (i + 1) * b, j * b : (j + 1) * b].copy())
+    blocks = X.reshape(q, b, q, b).swapaxes(1, 2).reshape(q * q, b, b)
+    m.put_rows(_block_ranks(grid, layer_rank).ravel(), key, blocks)
 
 
 def gather_blocks(m: Machine, key: str, grid: Grid2D, n: int, layer_rank=None) -> np.ndarray:
@@ -91,9 +98,7 @@ def gather_blocks(m: Machine, key: str, grid: Grid2D, n: int, layer_rank=None) -
     not charged; the model leaves C distributed)."""
     q = grid.q
     b = n // q
+    blocks = m.get_rows(_block_ranks(grid, layer_rank).ravel(), key)
     out = np.empty((n, n))
-    for i in range(q):
-        for j in range(q):
-            rank = layer_rank(i, j) if layer_rank else grid.rank(i, j)
-            out[i * b : (i + 1) * b, j * b : (j + 1) * b] = m.get(rank, key)
+    out.reshape(q, b, q, b)[...] = blocks.reshape(q, q, b, b).swapaxes(1, 2)
     return out

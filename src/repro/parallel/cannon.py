@@ -18,7 +18,7 @@ import numpy as np
 from repro.cdag.schemes import BilinearScheme
 from repro.machine.collectives import shift_many
 from repro.machine.distmatrix import Grid2D, distribute_blocks, gather_blocks
-from repro.machine.distributed import Machine, Message
+from repro.machine.distributed import Machine
 from repro.parallel.base import (
     AnalyticCost,
     ParallelAlgorithm,
@@ -87,39 +87,30 @@ class Cannon(ParallelAlgorithm):
         distribute_blocks(m, A, "A", grid)
         distribute_blocks(m, B, "B", grid)
         b = n // q
+        ranks = np.arange(p).reshape(q, q)      # ranks[i, j] = grid.rank(i, j)
+        flat = ranks.ravel()
 
         # C starts at zero on every rank.
-        for r in range(grid.p):
-            m.put(r, "C", np.zeros((b, b)))
+        m.put_rows(flat, "C", np.zeros((p, b, b)))
 
         # Skew: row i rotates A left by i, column j rotates B up by j.  In
         # the paper's machine model (§1.1: any disjoint pairs communicate
         # simultaneously, no topology) each skew is a single permutation
         # superstep — every rank sends one block and receives one block.
         if q > 1:
-            msgs = []
-            for i in range(q):
-                for j in range(q):
-                    src = grid.rank(i, j)
-                    msgs.append(Message(src, grid.rank(i, j - i), "A", m.get(src, "A")))
-            m.exchange(msgs, label="skewA")
-            msgs = []
-            for i in range(q):
-                for j in range(q):
-                    src = grid.rank(i, j)
-                    msgs.append(Message(src, grid.rank(i - j, j), "B", m.get(src, "B")))
-            m.exchange(msgs, label="skewB")
+            i, j = np.indices((q, q))
+            m.exchange_rows(flat, ranks[i, (j - i) % q], "A", m.get_rows(flat, "A"),
+                            label="skewA", stacked=False)
+            m.exchange_rows(flat, ranks[(i - j) % q, j], "B", m.get_rows(flat, "B"),
+                            label="skewB", stacked=False)
 
         for _round in range(q):
-            for r in range(grid.p):
-                Ablk = m.get(r, "A")
-                Bblk = m.get(r, "B")
-                Cblk = m.get(r, "C")
-                m.put(r, "C", Cblk + Ablk @ Bblk)
-                m.flop(r, 2 * b * b * b)
+            m.put_rows(flat, "C", m.get_rows(flat, "C")
+                       + m.get_rows(flat, "A") @ m.get_rows(flat, "B"))
+            m.flop_rows(flat, 2 * b * b * b)
             m.end_compute_phase()
             if _round < q - 1:
-                shift_many(m, [grid.row(i) for i in range(q)], "A", -1, label="shiftA")
-                shift_many(m, [grid.col(j) for j in range(q)], "B", -1, label="shiftB")
+                shift_many(m, ranks, "A", -1, label="shiftA")
+                shift_many(m, ranks.T, "B", -1, label="shiftB")
 
         return gather_blocks(m, "C", grid, n)

@@ -91,29 +91,23 @@ class Summa(ParallelAlgorithm):
         distribute_blocks(m, A, "A", grid)
         distribute_blocks(m, B, "B", grid)
         b = n // q
-        for r in range(grid.p):
-            m.put(r, "C", np.zeros((b, b)))
+        ranks = np.arange(p).reshape(q, q)      # ranks[i, j] = grid.rank(i, j)
+        flat = ranks.ravel()
+        m.put_rows(flat, "C", np.zeros((p, b, b)))
 
         for k in range(q):
             # Broadcast A[:, k] along every row and B[k, :] along every
             # column (all q row-broadcasts proceed simultaneously, likewise
             # columns).
-            for i in range(q):
-                root = grid.rank(i, k)
-                m.put(root, "Apanel", m.get(root, "A"))
-            broadcast_many(m, [(grid.row(i), grid.rank(i, k)) for i in range(q)],
-                           "Apanel", label="bcastA")
-            for j in range(q):
-                root = grid.rank(k, j)
-                m.put(root, "Bpanel", m.get(root, "B"))
-            broadcast_many(m, [(grid.col(j), grid.rank(k, j)) for j in range(q)],
-                           "Bpanel", label="bcastB")
-            for r in range(grid.p):
-                Cblk = m.get(r, "C") + m.get(r, "Apanel") @ m.get(r, "Bpanel")
-                m.put(r, "C", Cblk)
-                m.flop(r, 2 * b * b * b)
-                m.delete(r, "Apanel")
-                m.delete(r, "Bpanel")
+            m.put_rows(ranks[:, k], "Apanel", m.get_rows(ranks[:, k], "A"))
+            broadcast_many(m, list(zip(ranks, ranks[:, k])), "Apanel", label="bcastA")
+            m.put_rows(ranks[k], "Bpanel", m.get_rows(ranks[k], "B"))
+            broadcast_many(m, list(zip(ranks.T, ranks[k])), "Bpanel", label="bcastB")
+            m.put_rows(flat, "C", m.get_rows(flat, "C")
+                       + m.get_rows(flat, "Apanel") @ m.get_rows(flat, "Bpanel"))
+            m.flop_rows(flat, 2 * b * b * b)
+            m.delete_rows(flat, "Apanel")
+            m.delete_rows(flat, "Bpanel")
             m.end_compute_phase()
 
         return gather_blocks(m, "C", grid, n)

@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.cdag.schemes import BilinearScheme
 from repro.machine.collectives import broadcast_many, reduce_many
-from repro.machine.distmatrix import Grid2D, Grid3D, distribute_blocks, gather_blocks
-from repro.machine.distributed import Machine, Message
+from repro.machine.distmatrix import Grid2D, distribute_blocks, gather_blocks
+from repro.machine.distributed import Machine
 from repro.parallel.base import (
     AnalyticCost,
     ParallelAlgorithm,
@@ -92,64 +92,51 @@ class ThreeD(ParallelAlgorithm):
     ) -> np.ndarray:
         n = A.shape[0]
         q = cube_grid_side(self.name, p)
-        grid = Grid3D(q, q)
         face = Grid2D(q)
         b = n // q
+        # ranks[i, j, l] = Grid3D(q, q).rank(i, j, l); layer 0 is the face grid.
+        ranks = np.arange(p).reshape(q, q, q).transpose(1, 2, 0)
+        ar = np.arange(q)
 
         # Inputs start evenly distributed on layer 0: rank (i, j, 0) owns
         # A_ij, B_ij.
-        distribute_blocks(m, A, "A", face, layer_rank=lambda i, j: grid.rank(i, j, 0))
-        distribute_blocks(m, B, "B", face, layer_rank=lambda i, j: grid.rank(i, j, 0))
+        distribute_blocks(m, A, "A", face)
+        distribute_blocks(m, B, "B", face)
 
         # Routing: A_{il} must reach every (i, j, layer).  One relay hop to the
         # target layer, then a binomial broadcast along the layer's row —
         # each processor moves Θ(b²·lg q) words, never a q-way fan-out from
         # one rank.
-        msgs = []
-        for i in range(q):
-            for layer in range(q):
-                src = grid.rank(i, layer, 0)
-                dst = grid.rank(i, layer, layer)
-                msgs.append(Message(src, dst, "Ablk", m.get(src, "A")))
-        m.exchange(msgs, label="relayA")
+        layer0 = ranks[:, :, 0].ravel()         # rank (x, y, 0), row-major in (x, y)
+        # A_{il} hops from (i, l, 0) to (i, l, l).
+        m.exchange_rows(layer0, ranks[:, ar, ar], "Ablk", m.get_rows(layer0, "A"),
+                        label="relayA", stacked=False)
         broadcast_many(
             m,
-            [([grid.rank(i, j, layer) for j in range(q)], grid.rank(i, layer, layer))
-             for i in range(q) for layer in range(q)],
+            [(ranks[i, :, layer], ranks[i, layer, layer]) for i in range(q) for layer in range(q)],
             "Ablk",
             label="bcastA",
         )
-        msgs = []
-        for layer in range(q):
-            for j in range(q):
-                src = grid.rank(layer, j, 0)
-                dst = grid.rank(layer, j, layer)
-                msgs.append(Message(src, dst, "Bblk", m.get(src, "B")))
-        m.exchange(msgs, label="relayB")
+        # B_{lj} hops from (l, j, 0) to (l, j, l).
+        m.exchange_rows(layer0, ranks[ar[:, None], ar, ar[:, None]], "Bblk",
+                        m.get_rows(layer0, "B"), label="relayB", stacked=False)
         broadcast_many(
             m,
-            [([grid.rank(i, j, layer) for i in range(q)], grid.rank(layer, j, layer))
-             for layer in range(q) for j in range(q)],
+            [(ranks[:, j, layer], ranks[layer, j, layer]) for layer in range(q) for j in range(q)],
             "Bblk",
             label="bcastB",
         )
 
         # Local multiply: (i, j, layer) computes A_{il} · B_{lj}.
-        for r in range(grid.p):
-            prod = m.get(r, "Ablk") @ m.get(r, "Bblk")
-            m.put(r, "Cpart", prod)
-            m.flop(r, 2 * b * b * b)
-            m.delete(r, "Ablk")
-            m.delete(r, "Bblk")
+        flat = np.arange(p)
+        m.put_rows(flat, "Cpart", m.get_rows(flat, "Ablk") @ m.get_rows(flat, "Bblk"))
+        m.flop_rows(flat, 2 * b * b * b)
+        m.delete_rows(flat, "Ablk")
+        m.delete_rows(flat, "Bblk")
         m.end_compute_phase()
 
         # Sum the partials down all fibers simultaneously onto layer 0.
-        reduce_many(
-            m,
-            [(grid.fiber(i, j), grid.fiber(i, j)[0]) for i in range(q) for j in range(q)],
-            "Cpart",
-            "C",
-            label="reduceC",
-        )
+        fibers = ranks.reshape(q * q, q)
+        reduce_many(m, list(zip(fibers, fibers[:, 0])), "Cpart", "C", label="reduceC")
 
-        return gather_blocks(m, "C", face, n, layer_rank=lambda i, j: grid.rank(i, j, 0))
+        return gather_blocks(m, "C", face, n)

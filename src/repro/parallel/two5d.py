@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.cdag.schemes import BilinearScheme
 from repro.machine.collectives import broadcast_many, reduce_many, shift_many
-from repro.machine.distmatrix import Grid2D, Grid3D, distribute_blocks, gather_blocks
-from repro.machine.distributed import Machine, Message
+from repro.machine.distmatrix import Grid2D, distribute_blocks, gather_blocks
+from repro.machine.distributed import Machine
 from repro.parallel.base import (
     AnalyticCost,
     ParallelAlgorithm,
@@ -119,15 +119,19 @@ class Two5D(ParallelAlgorithm):
     ) -> np.ndarray:
         n = A.shape[0]
         q = _grid_side(self.name, p, c)
-        grid = Grid3D(q, c)
         face = Grid2D(q)
         b = n // q
+        # ranks[layer, i, j] = Grid3D(q, c).rank(i, j, layer); layer 0 is the
+        # face grid.
+        ranks = np.arange(p).reshape(c, q, q)
+        flat = ranks.ravel()
 
-        distribute_blocks(m, A, "A", face, layer_rank=lambda i, j: grid.rank(i, j, 0))
-        distribute_blocks(m, B, "B", face, layer_rank=lambda i, j: grid.rank(i, j, 0))
+        distribute_blocks(m, A, "A", face)
+        distribute_blocks(m, B, "B", face)
 
         # Replicate A and B across the c layers (all fibers broadcast at once).
-        fibers = [(grid.fiber(i, j), grid.fiber(i, j)[0]) for i in range(q) for j in range(q)]
+        fiber = ranks.transpose(1, 2, 0).reshape(q * q, c)     # row (i, j): its c layers
+        fibers = list(zip(fiber, fiber[:, 0]))
         broadcast_many(m, fibers, "A", label="replA")
         broadcast_many(m, fibers, "B", label="replB")
 
@@ -137,61 +141,26 @@ class Two5D(ParallelAlgorithm):
         # permutation superstep across all layers (fully connected model).
         rounds = q // c
         if q > 1:
-            msgs = []
-            for layer in range(c):
-                off = layer * rounds
-                for i in range(q):
-                    for j in range(q):
-                        src = grid.rank(i, j, layer)
-                        msgs.append(
-                            Message(src, grid.rank(i, j - i - off, layer), "A", m.get(src, "A"))
-                        )
-            m.exchange(msgs, label="skewA")
-            msgs = []
-            for layer in range(c):
-                off = layer * rounds
-                for i in range(q):
-                    for j in range(q):
-                        src = grid.rank(i, j, layer)
-                        msgs.append(
-                            Message(src, grid.rank(i - j - off, j, layer), "B", m.get(src, "B"))
-                        )
-            m.exchange(msgs, label="skewB")
+            layer, i, j = np.indices((c, q, q))
+            off = layer * rounds
+            m.exchange_rows(flat, ranks[layer, i, (j - i - off) % q], "A",
+                            m.get_rows(flat, "A"), label="skewA", stacked=False)
+            m.exchange_rows(flat, ranks[layer, (i - j - off) % q, j], "B",
+                            m.get_rows(flat, "B"), label="skewB", stacked=False)
 
-        for r in range(grid.p):
-            m.put(r, "Cpart", np.zeros((b, b)))
+        m.put_rows(flat, "Cpart", np.zeros((p, b, b)))
 
         for k in range(rounds):
-            for r in range(grid.p):
-                Cp = m.get(r, "Cpart") + m.get(r, "A") @ m.get(r, "B")
-                m.put(r, "Cpart", Cp)
-                m.flop(r, 2 * b * b * b)
+            m.put_rows(flat, "Cpart", m.get_rows(flat, "Cpart")
+                       + m.get_rows(flat, "A") @ m.get_rows(flat, "B"))
+            m.flop_rows(flat, 2 * b * b * b)
             m.end_compute_phase()
             if k < rounds - 1:
-                shift_many(
-                    m,
-                    [
-                        [grid.rank(i, j, layer) for j in range(q)]
-                        for layer in range(c)
-                        for i in range(q)
-                    ],
-                    "A",
-                    -1,
-                    label="shiftA",
-                )
-                shift_many(
-                    m,
-                    [
-                        [grid.rank(i, j, layer) for i in range(q)]
-                        for layer in range(c)
-                        for j in range(q)
-                    ],
-                    "B",
-                    -1,
-                    label="shiftB",
-                )
+                shift_many(m, ranks.reshape(c * q, q), "A", -1, label="shiftA")
+                shift_many(m, ranks.transpose(0, 2, 1).reshape(c * q, q), "B", -1,
+                           label="shiftB")
 
         # Reduce C partials across layers onto layer 0 (all fibers at once).
         reduce_many(m, fibers, "Cpart", "C", label="reduceC")
 
-        return gather_blocks(m, "C", face, n, layer_rank=lambda i, j: grid.rank(i, j, 0))
+        return gather_blocks(m, "C", face, n)

@@ -281,3 +281,131 @@ class TestCounters:
         assert log.critical_words == 12
         assert log.total_words == 12
         assert log.n_supersteps == 2
+
+
+class TestRankArrays:
+    """Row calls take integer rank arrays; the row stores take each rank once."""
+
+    @pytest.mark.parametrize("ranks", [[1.9], [1.0], np.array([0.0, 1.0]), [True]])
+    def test_put_rows_rejects_non_integer_ranks(self, ranks):
+        m = Machine(3)
+        with pytest.raises(ValueError, match="integers"):
+            m.put_rows(ranks, "x", np.zeros((len(ranks), 2)))
+        assert not any(m.has(r, "x") for r in range(3))
+
+    @pytest.mark.parametrize("src,dst", [([0], [True]), ([0.0], [1]), ([0], [1.5])])
+    def test_exchange_rows_rejects_non_integer_ranks(self, src, dst):
+        m = Machine(3)
+        with pytest.raises(ValueError, match="integers"):
+            m.exchange_rows(src, dst, "x", np.zeros((1, 2)))
+        assert m.log.n_supersteps == 0 and not m.has(1, "x")
+
+    def test_single_rank_calls_still_need_an_integer(self):
+        with pytest.raises(TypeError):
+            Machine(3).put(1.0, "x", np.zeros(2))
+
+    def test_numpy_integer_ranks_accepted(self):
+        m = Machine(4)
+        m.put_rows(np.array([3, 1], dtype=np.int32), "x", np.ones((2, 2)))
+        m.put_rows(np.array([0], dtype=np.uint8), "x", np.ones((1, 2)))
+        assert [m.has(r, "x") for r in range(4)] == [True, True, False, True]
+
+    def test_put_rows_rejects_repeated_ranks(self):
+        m = Machine(3)
+        with pytest.raises(ValueError, match="rank 0 repeated"):
+            m.put_rows([0, 2, 0], "x", np.arange(6.0).reshape(3, 2))
+        assert not m.has(0, "x") and not m.has(2, "x")
+        assert m.mem_used(0) == 0 and m.max_mem_peak == 0
+
+    @pytest.mark.parametrize("call", ["pop_rows", "delete_rows"])
+    def test_release_rows_reject_repeated_ranks(self, call):
+        m = Machine(3)
+        m.put_rows([0, 1], "x", np.ones((2, 4)))
+        with pytest.raises(ValueError, match="rank 1 repeated"):
+            getattr(m, call)([1, 1], "x")
+        assert m.has(1, "x") and m.mem_used(1) == 4
+
+    def test_as_sent_exchange_rejects_repeated_destinations(self):
+        m = Machine(3)
+        with pytest.raises(ValueError, match="repeated"):
+            m.exchange_rows([0, 1], [2, 2], "x", np.ones((2, 1)), stacked=False)
+
+    def test_flop_rows_charges_each_occurrence(self):
+        m = Machine(3)
+        m.flop_rows([1, 1, 2], 5)
+        assert list(m.flops) == [0, 10, 5]
+
+
+class TestSlabStore:
+    def test_get_result_never_changes_under_later_puts(self):
+        m = Machine(3)
+        m.put_rows([0, 1, 2], "x", np.arange(6.0).reshape(3, 2))
+        got = m.get(1, "x")
+        m.put(1, "x", np.full(2, 9.0))
+        m.put_rows([0, 1, 2], "x", np.zeros((3, 2)))
+        m.exchange_rows([0], [1], "x", np.ones((1, 2)), stacked=False)
+        assert np.array_equal(got, [2.0, 3.0])
+        assert np.array_equal(m.get(1, "x"), [1.0, 1.0])
+
+    def test_get_result_is_read_only(self):
+        m = Machine(2)
+        m.put(0, "x", np.zeros(3))
+        with pytest.raises(ValueError):
+            m.get(0, "x")[0] = 1.0
+
+    def test_exchange_reads_payloads_taken_before_earlier_deliveries(self):
+        # a 3-cycle on one key: every payload is a get() view of the slab
+        # that the round's own deliveries overwrite
+        m = Machine(3)
+        m.put_rows([0, 1, 2], "x", np.arange(3.0)[:, None])
+        m.exchange([(r, (r + 1) % 3, "x", m.get(r, "x")) for r in range(3)])
+        assert [float(m.get(r, "x")[0]) for r in range(3)] == [2.0, 0.0, 1.0]
+
+    def test_holders_may_disagree_on_shape(self):
+        m = Machine(3)
+        m.put_rows([0, 1], "x", np.ones((2, 4)))
+        m.put(2, "x", np.zeros(2))
+        m.put(0, "x", np.zeros((2, 2), dtype=np.int64))
+        assert m.get(0, "x").dtype == np.int64 and m.get(0, "x").shape == (2, 2)
+        assert np.array_equal(m.get(1, "x"), np.ones(4))
+        assert [m.mem_used(r) for r in range(3)] == [4, 4, 2]
+        rows = m.get_rows([1, 2], "x")
+        assert rows.dtype == object and [a.size for a in rows] == [4, 2]
+        assert [a.size for a in m.pop_rows([2, 1], "x")] == [2, 4]
+        assert m.keys(1) == [] and m.keys(0) == ["x"]
+
+    def test_ragged_rows_round_trip(self):
+        m = Machine(4, memory_limit=5)
+        rows = np.empty(3, dtype=object)
+        rows[:] = [np.ones(2), np.ones(5), np.ones(1)]
+        m.put_rows([3, 0, 1], "x", rows)
+        assert [m.mem_used(r) for r in range(4)] == [5, 1, 0, 2]
+        big = np.empty(2, dtype=object)
+        big[:] = [np.ones(3), np.ones(6)]
+        with pytest.raises(MemoryError, match=r"rank 2 .*6 > 5"):
+            m.put_rows([1, 2], "y", big)
+        assert m.has(1, "y") and not m.has(2, "y")
+
+    def test_key_released_everywhere_takes_a_new_shape(self):
+        m = Machine(2)
+        m.put_rows([0, 1], "x", np.zeros((2, 3)))
+        m.delete_rows([0, 1], "x")
+        m.put_rows([0, 1], "x", np.ones((2, 2, 2)))
+        assert m.get_rows([0, 1], "x").shape == (2, 2, 2)
+        assert m.mem_used(0) == 4
+
+    def test_empty_rounds_are_not_logged(self):
+        m = Machine(3)
+        m.exchange([])
+        m.exchange_rows([], [], "x", np.zeros((0, 2)))
+        m.exchange_rows([], [], "x", np.zeros((0, 2)), stacked=False)
+        assert m.log.n_supersteps == 0 and m.log.step_words.shape == (0, 3)
+
+    def test_log_arrays_match_records(self):
+        m = Machine(4)
+        m.exchange([(0, 2, "a", np.zeros(3)), (1, 2, "b", np.zeros(5)), (3, 3, "c", np.zeros(1))])
+        m.exchange_rows([2, 0], [1, 3], "d", np.zeros((2, 4)))
+        assert m.log.step_words.tolist() == [[3, 5, 8, 0], [4, 4, 4, 4]]
+        assert m.log.step_msgs.tolist() == [[1, 1, 2, 0], [1, 1, 1, 1]]
+        assert [s.msgs for s in m.log.steps] == [{0: 1, 1: 1, 2: 2}, {0: 1, 1: 1, 2: 1, 3: 1}]
+        assert m.log.total_words == 16 and m.critical_words == 12
