@@ -16,6 +16,19 @@
  * numpy backend's, and the lexicographic (h, mask) reduction matches it
  * bit-for-bit.
  *
+ * Before any of that, a prefix-level bound skips whole prefixes.  The edges
+ * of U = P ∪ L split into three disjoint classes: high–high, low–high and
+ * low–low.  Every U under prefix P cuts all high–high edges between P and
+ * the high vertices outside P; each low vertex v cuts either its edges into
+ * P (v ∉ L) or its edges into the rest of the high block (v ∈ L), so at
+ * least min(|N(v) ∩ P|, |N(v) ∩ H∖P|); low–low edges add >= 0.  That sum,
+ * fixed(P), bounds bnd(U) from below for every L, and |U| <= cap =
+ * min(limit, |P| + b).  The integer threshold floor(h_cap * d * s) + 1 is
+ * nondecreasing in s, so fixed(P) > thr_total[cap] means the per-subset
+ * filter would reject every subset of the prefix: skipping it changes no
+ * candidate, and (h, mask) stays bit-identical.  The bound costs O(b)
+ * popcounts per prefix.
+ *
  * Parallel runs call repro_exact_scan once per span from separate worker
  * processes; `shared_min` points at one double in shared memory (a
  * multiprocessing.Value) used purely to tighten pruning — nonnegative IEEE
@@ -111,6 +124,9 @@ API int32_t repro_exact_scan(
     double cap_for_totals = -1.0;
     int32_t thr_total[65]; /* threshold by total subset size, n <= 64 */
     int32_t wv[64];        /* |N(v) ∩ P| per low vertex, for the prefix P */
+    int32_t hdeg[64];      /* |N(v) ∩ H| per low vertex (H: the high block) */
+    for (int32_t v = 0; v < b; v++)
+        hdeg[v] = (int32_t)__builtin_popcountll(adj[v] >> b);
 
     for (uint64_t p = p_lo; p < p_hi; p++) {
         const int32_t size_p = (int32_t)__builtin_popcountll(p);
@@ -137,16 +153,10 @@ API int32_t repro_exact_scan(
                 thr_total[s] = (int32_t)t;
             }
         }
-        if (thr_cap[size_p] != h_cap) {
-            int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
-            for (uint64_t i = 0; i < nlow; i++)
-                T[i] = thr_total[size_p + (int32_t)low_sizes[i]];
-            thr_cap[size_p] = h_cap;
-        }
-        const int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
 
         /* Boundary of the prefix alone and the per-low-vertex cross
-         * counts |N(v) ∩ P| — O(n) word-popcounts per prefix. */
+         * counts |N(v) ∩ P| — O(n) word-popcounts per prefix — and the
+         * prefix bound fixed(P) (see the header). */
         int64_t base_p = 0;
         uint64_t pp = p;
         while (pp) {
@@ -156,12 +166,24 @@ API int32_t repro_exact_scan(
             base_p -= 2 * (int64_t)__builtin_popcountll(
                 (adj[b + j] >> b) & (p & (((uint64_t)1 << j) - 1)));
         }
-        int has_cross = 0;
+        int64_t fixed = base_p;
         for (int32_t v = 0; v < b; v++) {
-            wv[v] = (int32_t)__builtin_popcountll((adj[v] >> b) & p);
-            has_cross |= wv[v];
+            const int32_t w = (int32_t)__builtin_popcountll((adj[v] >> b) & p);
+            const int32_t rest = hdeg[v] - w;
+            wv[v] = w;
+            fixed -= w - ((w < rest) ? w : rest);
         }
-        (void)has_cross;
+        const int32_t cap = (size_p + b < limit) ? size_p + b : limit;
+        if (fixed > (int64_t)thr_total[cap])
+            continue;
+
+        if (thr_cap[size_p] != h_cap) {
+            int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
+            for (uint64_t i = 0; i < nlow; i++)
+                T[i] = thr_total[size_p + (int32_t)low_sizes[i]];
+            thr_cap[size_p] = h_cap;
+        }
+        const int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
 
         /* Candidate U = P alone (low block empty). */
         if (size_p >= 1 && base_p <= (int64_t)T[0]) {

@@ -23,11 +23,14 @@ from repro.cdag.strassen_cdag import dec1_graph, dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
     _bounded_walk_py,
+    _full_scan,
+    _full_scan_native,
     _ints_from_rows,
     _mask_to_bool,
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
+    native_backend_available,
 )
 from repro.core.expansion import (
     estimate_expansion,
@@ -152,6 +155,73 @@ class TestPropertyOracle:
         h_gs, m_gs = _bounded_walk_py(adj, deg, d, n, s)
         assert h_gs == h_ref_s
         assert np.array_equal(_mask_to_bool(m_gs, n), m_ref_s)
+
+
+def _multi_prefix_graph(kind: str, n: int, seed: int) -> CDAG | None:
+    """Graphs for the multi-prefix scan: random, circulant, disconnected
+    (two components, so h = 0) and tied (two copies of one graph joined by
+    a matching, so every minimum has a mirror twin at another mask)."""
+    if kind == "random":
+        return _random_graph(n, seed, p=0.15 + (seed % 5) * 0.1)
+    if kind == "circulant":
+        return layered_circulant_cdag(n)
+    half = n // 2
+    first = _random_graph(half, seed)
+    second = first if kind == "tied" else _random_graph(half, seed + 1)
+    if first is None or second is None:
+        return None
+    (u0, v0), (u1, v1) = first.undirected_edges, second.undirected_edges
+    src, dst = [u0, u1 + half], [v0, v1 + half]
+    if kind == "tied":
+        src.append(np.arange(half))
+        dst.append(np.arange(half) + half)
+        if n % 2:  # the odd vertex hangs off both mirror images of vertex 0
+            src.append(np.array([0, half]))
+            dst.append(np.array([n - 1, n - 1]))
+    elif n % 2:  # the odd vertex joins the second component
+        src.append(np.array([n - 2]))
+        dst.append(np.array([n - 1]))
+    return CDAG(n, np.concatenate(src), np.concatenate(dst), np.zeros(n, dtype=np.int8))
+
+
+class TestMultiPrefixOracle:
+    """Hypothesis: both full-scan kernels == seed oracle when the scan
+    really walks many prefixes.
+
+    ``_LOW_BITS`` drops to 4 so an n-vertex graph spans 2^(n-4) prefixes.
+    Serial only: spawned pool workers re-import the module and would not
+    see the patch (``jobs=2`` stays covered at the default width by
+    :class:`TestParallelSharding`).
+    """
+
+    KINDS = ("random", "circulant", "disconnected", "tied")
+
+    @pytest.mark.parametrize("backend", ["bitset", "native"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(min_value=5, max_value=16),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_full_scan_every_size_cap(self, backend, kind, n, seed):
+        if backend == "native" and not native_backend_available():
+            pytest.skip("native kernel unavailable")
+        scan = _full_scan_native if backend == "native" else _full_scan
+        g = _multi_prefix_graph(kind, n, seed)
+        if g is None or g.max_degree == 0:
+            return
+        adj, deg, d, _ = _scalar_args(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.exact._LOW_BITS", 4)
+            h, m = exact_edge_expansion_v2(g, backend=backend)
+            h_ref, m_ref = _oracle(g)
+            assert h == h_ref, (kind, n, seed)
+            assert np.array_equal(m, m_ref), (kind, n, seed)
+            for s in range(1, n + 1):
+                h_ref, m_ref = _oracle(g, max_size=s)
+                r, mask = scan(adj, deg, d, n, s, 1)
+                assert r == h_ref, (kind, n, seed, s)
+                assert np.array_equal(_mask_to_bool(mask, n), m_ref), (kind, n, seed, s)
 
 
 class TestBackendsAgree:
