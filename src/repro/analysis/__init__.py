@@ -2,9 +2,9 @@
 
 The repo's nastiest historical bug classes are all *statically detectable*:
 result-affecting parameters missing from :mod:`repro.engine.cache`
-fingerprints (forced ``CACHE_VERSION`` bumps), NaN/numpy scalars leaking
-into strict-JSON artifacts, and drift between registered algorithms and
-their declared contracts.  Generic linters cannot see these invariants, so
+fingerprints (stale artifacts served under a key that omits an input),
+NaN/numpy scalars leaking into strict-JSON artifacts, and drift between
+registered algorithms and their declared contracts.  Generic linters cannot see these invariants, so
 this package encodes them as an AST-visitor checker framework:
 
 * :class:`~repro.analysis.base.Checker` — the per-file / whole-program

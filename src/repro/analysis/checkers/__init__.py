@@ -7,8 +7,6 @@ code     name                   invariant
 =======  =====================  ==============================================
 RC101    cache-fingerprint      every parameter of a ``cache_key``-calling
                                 builder flows into the key (or is exempt)
-RC102    cache-version-pin      result-producing modules may not change
-                                without a ``CACHE_VERSION`` bump or re-pin
 RC201    registry-parallel      ``@register_parallel`` classes declare
                                 validity + analytic-cost contracts
 RC202    registry-bench         ``@register_bench`` workloads return a

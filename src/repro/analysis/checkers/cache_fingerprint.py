@@ -1,73 +1,32 @@
-"""Cache-fingerprint completeness and the CACHE_VERSION digest pins.
+"""Cache-fingerprint completeness (RC101).
 
 The content-addressed :class:`~repro.engine.cache.EngineCache` is only
 sound when *every* result-affecting input of a cached builder is part of
-its key.  PRs 2, 3, and 5 each shipped a forced ``CACHE_VERSION`` bump
-because a parameter or code change slipped past the fingerprint; both
-failure modes are statically checkable:
+its key.  The code half of the key is a digest of the package source
+(:data:`~repro.engine.cache.CACHE_NAMESPACE`), so code edits can never
+serve a stale entry; the input half is each builder's own ``cache_key``
+call, and that is what this checker verifies statically:
 
 * **RC101** — in any function that calls ``cache_key(...)``, every
   parameter must be referenced inside the key expression, unless it is a
   known result-invariant (``cache``, ``jobs``) or explicitly suppressed.
-* **RC102** — a committed digest map pins the byte content of the
-  result-producing modules at the current ``CACHE_VERSION``.  Editing one
-  of those modules without bumping ``CACHE_VERSION`` (or deliberately
-  re-pinning a result-preserving change) is flagged, so stale-cache bugs
-  fail CI instead of surfacing as wrong numbers.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.astutil import call_name, names_in, param_names, walk_functions
-from repro.analysis.base import Checker, Module, Program, register_checker
-from repro.analysis.findings import Finding, Severity
-from repro.util.jsonutil import jsonable
+from repro.analysis.base import Checker, Module, register_checker
+from repro.analysis.findings import Finding
 
-__all__ = [
-    "PINS_REL",
-    "PIN_SCHEMA_VERSION",
-    "RESULT_MODULES",
-    "CacheFingerprintChecker",
-    "CacheVersionPinChecker",
-    "current_cache_version",
-    "module_digest",
-    "write_pins",
-]
+__all__ = ["CacheFingerprintChecker"]
 
 #: Parameters that are result-invariant by design: ``cache`` only routes
 #: storage, ``jobs`` shards work without changing any result (the exact
 #: engine's merge is deterministic; tests pin this).
 EXEMPT_PARAMS = frozenset({"cache", "jobs"})
-
-#: Repo-relative path of the committed digest-pin map.
-PINS_REL = "src/repro/analysis/data/module_digests.json"
-
-PIN_SCHEMA_VERSION = 1
-
-#: The result-producing modules: editing any of these can change what a
-#: cached artifact *means*, so each is digest-pinned at a CACHE_VERSION.
-RESULT_MODULES = (
-    "src/repro/engine/cache.py",
-    "src/repro/engine/builders.py",
-    "src/repro/engine/grid.py",
-    "src/repro/engine/scaling.py",
-    "src/repro/core/expansion.py",
-    "src/repro/core/exact.py",
-    "src/repro/cdag/graph.py",
-    "src/repro/cdag/schemes.py",
-    "src/repro/cdag/strassen_cdag.py",
-    "src/repro/cdag/classical_cdag.py",
-    "src/repro/cdag/build.py",
-    "src/repro/util/matgen.py",
-)
-
-_CACHE_MODULE_REL = "src/repro/engine/cache.py"
 
 
 def _expand_through_assignments(
@@ -136,133 +95,5 @@ class CacheFingerprintChecker(Checker):
                         "pass it into cache_key(), or suppress with "
                         "# repro: ignore[RC101] if it provably cannot affect "
                         "the artifact"
-                    ),
-                )
-
-
-def module_digest(path: Path) -> str:
-    """SHA-256 of a module's bytes (the pin the RC102 policy compares)."""
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def current_cache_version(program: Program) -> tuple[int, int] | None:
-    """``(CACHE_VERSION, line)`` parsed from ``engine/cache.py``, if present.
-
-    Prefers the already-parsed module from the run; falls back to reading
-    the file under the program root so a narrowed ``--paths`` run still
-    enforces the pin policy.
-    """
-    module = program.module(_CACHE_MODULE_REL)
-    if module is not None:
-        tree: ast.Module = module.tree
-    else:
-        path = program.root / _CACHE_MODULE_REL
-        if not path.exists():
-            return None
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=_CACHE_MODULE_REL)
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "CACHE_VERSION":
-                    if isinstance(node.value, ast.Constant) and isinstance(
-                        node.value.value, int
-                    ):
-                        return int(node.value.value), node.lineno
-    return None
-
-
-def write_pins(root: Path, modules: Iterable[str] = RESULT_MODULES) -> Path:
-    """(Re)record the digest map at the current ``CACHE_VERSION``."""
-    version = current_cache_version(Program(root=Path(root)))
-    if version is None:
-        raise ValueError(
-            f"cannot pin digests: {_CACHE_MODULE_REL} (or its CACHE_VERSION "
-            f"assignment) not found under {root}"
-        )
-    digests = {}
-    for rel in sorted(modules):
-        path = Path(root) / rel
-        if path.exists():
-            digests[rel] = module_digest(path)
-    doc = {
-        "schema_version": PIN_SCHEMA_VERSION,
-        "cache_version": version[0],
-        "modules": digests,
-    }
-    out = Path(root) / PINS_REL
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(jsonable(doc), indent=2, allow_nan=False) + "\n")
-    return out
-
-
-@register_checker
-class CacheVersionPinChecker(Checker):
-    """RC102: result-producing modules are digest-pinned per CACHE_VERSION."""
-
-    name = "cache-version-pin"
-    code = "RC102"
-    description = (
-        "result-producing modules must not change without a CACHE_VERSION "
-        "bump or an explicit re-pin (repro check --repin)"
-    )
-
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        version = current_cache_version(program)
-        if version is None:
-            # Not a repro engine tree (e.g. a fixture subset): nothing to pin.
-            return
-        current, version_line = version
-        pins_path = program.root / PINS_REL
-        if not pins_path.exists():
-            yield self.finding(
-                PINS_REL,
-                0,
-                "digest pin map is missing",
-                fix_hint="record it with: python -m repro check --repin",
-                severity=Severity.WARNING,
-            )
-            return
-        doc = json.loads(pins_path.read_text())
-        if doc.get("schema_version") != PIN_SCHEMA_VERSION:
-            yield self.finding(
-                PINS_REL,
-                0,
-                f"digest pin map has schema_version {doc.get('schema_version')!r}; "
-                f"this build reads {PIN_SCHEMA_VERSION}",
-                fix_hint="re-record it with: python -m repro check --repin",
-            )
-            return
-        pinned_version = doc.get("cache_version")
-        if pinned_version != current:
-            yield self.finding(
-                _CACHE_MODULE_REL,
-                version_line,
-                f"CACHE_VERSION is {current} but digests were pinned at "
-                f"{pinned_version}",
-                fix_hint=(
-                    "acknowledge the bump by re-pinning: "
-                    "python -m repro check --repin"
-                ),
-            )
-            return
-        for rel, pinned in sorted(doc.get("modules", {}).items()):
-            path = program.root / rel
-            if not path.exists():
-                yield self.finding(
-                    rel,
-                    0,
-                    "pinned result-producing module no longer exists",
-                    fix_hint="re-pin the digest map: python -m repro check --repin",
-                )
-                continue
-            if module_digest(path) != pinned:
-                yield self.finding(
-                    rel,
-                    0,
-                    "result-producing module changed without a CACHE_VERSION bump",
-                    fix_hint=(
-                        "bump CACHE_VERSION in src/repro/engine/cache.py and "
-                        "re-pin, or re-pin alone (python -m repro check --repin) "
-                        "if the change provably preserves every cached artifact"
                     ),
                 )

@@ -21,7 +21,6 @@ Layers (bottom up):
 """
 
 from repro.engine.cache import (
-    CACHE_VERSION,
     CacheStats,
     EngineCache,
     cache_key,
@@ -79,7 +78,6 @@ from repro.engine.scaling import (
 )
 
 __all__ = [
-    "CACHE_VERSION",
     "CacheStats",
     "EngineCache",
     "cache_key",

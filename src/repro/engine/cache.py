@@ -12,9 +12,11 @@ artifact kinds across processes and runs:
 
 Keys are *content-addressed*: a SHA-256 over the scheme's actual coefficient
 matrices (not just its registry name), the recursion depth, the build
-options, and a format version.  Changing a scheme's U/V/W, any build flag,
-or ``CACHE_VERSION`` automatically misses the old entries — there is no
-manual invalidation protocol beyond ``clear()``.
+options, and :data:`CACHE_NAMESPACE`, a digest of the package source.
+Changing a scheme's U/V/W, any build flag, or any line of code
+automatically misses the old entries — there is no manual invalidation
+protocol beyond ``clear()``, which also reclaims the space of namespaces
+that older code left on disk.
 
 Layout: ``<root>/<key[:2]>/<key>.npz``, written atomically (tmp file +
 ``os.replace``) so concurrent worker processes can share one cache
@@ -52,7 +54,7 @@ import numpy as np
 from repro.cdag.schemes import BilinearScheme
 
 __all__ = [
-    "CACHE_VERSION",
+    "CACHE_NAMESPACE",
     "CacheStats",
     "EngineCache",
     "cache_key",
@@ -60,41 +62,33 @@ __all__ = [
     "default_cache_root",
     "scheme_fingerprint",
     "set_default_cache",
+    "source_digest",
 ]
 
-#: Bump to invalidate every existing cache entry (stored-format changes).
-#: v2: rectangular ⟨m₀,n₀,p₀;t₀⟩ schemes — the fingerprint now covers the
-#: full shape, so square-era entries must not be shared.
-#: v3: parallel scaling-sweep artifacts — keys may now carry a None scheme
-#: (classical grid algorithms), so the keyspace layout changed.
-#: v4: exact-expansion engine v2 — EXACT_LIMIT rose 22 → 28, so "auto"-policy
-#: estimates of 23..28-vertex graphs change method (spectral → exact); stale
-#: estimates from older builds must miss.
-#: v5: "auto"-policy estimate keys now carry the effective exact-enumeration
-#: ceiling (exact_limit=...), closing the stale-read when REPRO_EXACT_LIMIT
-#: changes between runs; old auto-estimate entries keyed without it must miss.
-#: v6: certified expansion intervals — estimate artifacts now store the
-#: interval provenance tag, DEFAULT_EXACT_LIMIT rose 28 → 32 (the native
-#: kernel), so "auto"-policy estimates of 29..32-vertex graphs change method;
-#: v5 estimate entries lack the provenance field and must miss.
-#: v7: planner-first parallel API — scaling artifacts now measure via
-#: ``execute(ParallelConfig)`` and analytic records carry a flops term, and
-#: the new kind ``"plan"`` stores ranked plan tables keyed by topology
-#: cache tokens; pre-planner scaling entries must not be replayed into the
-#: topology-costed pipeline.
-#: v8: graphs above ``NATURAL_ORDER_MIN_VERTICES`` (``Dec_5`` scale) factor
-#: the shift-invert Laplacian in the CDAG's level order, so their stored
-#: spectra (and the estimates built on them) differ from a v7 build in the
-#: last ulps; a warm v7 entry is no longer what a cold build returns.
-#:
-#: Numeric-key normalization (PR 7) deliberately did NOT bump the version:
-#: normalized keys are byte-identical to the keys plain-Python (and
-#: NumPy 1.x) callers always produced, so every canonical entry stays valid.
-#: The only orphaned entries are the *fragmented duplicates* NumPy 2.x
-#: scalars created via ``repr(np.float64(1.5)) == 'np.float64(1.5)'`` — those
-#: held the same artifact content as their canonical twins, so leaving them
-#: unreachable cannot serve a stale result.
-CACHE_VERSION = 8
+
+def source_digest(package_root: Path) -> str:
+    """SHA-256 over every ``.py`` and ``.c`` file under ``package_root``.
+
+    Files are taken in sorted relative-path order, each relative path hashed
+    in front of its bytes; ``__pycache__`` is skipped.  Any source edit —
+    to a builder, a cost model, the native kernel — yields a new digest.
+    """
+    h = hashlib.sha256()
+    files = sorted(
+        path.relative_to(package_root).as_posix()
+        for path in package_root.rglob("*")
+        if path.suffix in (".py", ".c") and "__pycache__" not in path.parts
+    )
+    for rel in files:
+        h.update(rel.encode() + b"\0")
+        h.update((package_root / rel).read_bytes())
+    return h.hexdigest()
+
+
+#: The code half of every key: the digest of the package source that
+#: produced the artifact.  Changed code reads a different namespace, so a
+#: stale entry can never be served and there is no version to bump.
+CACHE_NAMESPACE = source_digest(Path(__file__).resolve().parents[1])
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -176,7 +170,7 @@ def cache_key(kind: str, scheme: BilinearScheme | None, **params: Any) -> str:
     key (see :func:`_normalize_param`).
     """
     fp = scheme_fingerprint(scheme) if scheme is not None else "none"
-    parts = [f"v{CACHE_VERSION}", kind, fp]
+    parts = [CACHE_NAMESPACE, kind, fp]
     parts.extend(f"{name}={_normalize_param(params[name])!r}" for name in sorted(params))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
@@ -515,7 +509,7 @@ class EngineCache:
         return removed
 
     def info(self) -> dict[str, Any]:
-        """Root, entry count, total bytes, and this process's counters."""
+        """Root, key namespace, entry count, total bytes, and counters."""
         n_files = 0
         n_bytes = 0
         if self._disk and self.root.is_dir():
@@ -528,6 +522,7 @@ class EngineCache:
         with self._lock:
             return {
                 "root": str(self.root),
+                "namespace": CACHE_NAMESPACE,
                 "disk_enabled": self._disk,
                 "disk_degraded": self._disk_degraded,
                 "entries": n_files,

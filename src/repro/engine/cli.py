@@ -335,11 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rewrite the committed baseline to grandfather current findings",
     )
     check.add_argument(
-        "--repin",
-        action="store_true",
-        help="re-record the RC102 module-digest pins at the current CACHE_VERSION",
-    )
-    check.add_argument(
         "--list", action="store_true", help="list registered checkers and exit"
     )
 
@@ -659,7 +654,6 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
         write_baseline,
     )
     from repro.analysis.baseline import DEFAULT_BASELINE_NAME
-    from repro.analysis.checkers.cache_fingerprint import write_pins
 
     root = Path.cwd()
     if args.list:
@@ -667,9 +661,6 @@ def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
             checker = get_checker(name)
             print(f"{checker.code}  {checker.name:<18} {checker.description}", file=out)
         return 0
-    if args.repin:
-        pins = write_pins(root)
-        print(f"pinned result-module digests -> {pins}", file=out)
     select = None
     if args.select:
         by_code = {get_checker(n).code: n for n in available_checkers()}

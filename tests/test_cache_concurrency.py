@@ -4,20 +4,33 @@ Covers the PR-7 bugfix trio (NumPy-2.x key fragmentation, per-call disk
 degradation, honest miss/clear accounting) plus the contended paths the
 serving layer leans on: multi-process same-key writers racing
 ``os.replace``, thread-level single-flight deduplication, and the
-byte-capped LRU's eviction order.
+byte-capped LRU's eviction order.  The source-digest key namespace is
+pinned too: any source edit moves it, so older code's entries are never
+served.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import shutil
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.engine.cache import CacheStats, EngineCache, cache_key
+import repro.engine.cache as cache_mod
+from repro.engine.builders import cached_estimate
+from repro.engine.cache import (
+    CACHE_NAMESPACE,
+    CacheStats,
+    EngineCache,
+    cache_key,
+    source_digest,
+)
 
 
 class TestKeyNormalization:
@@ -340,3 +353,61 @@ class TestStatsMergePlumbing:
         parent.count_build()
         parent.merge_stats({"builds": 2})
         assert parent.stats.builds == 3
+
+
+def _child_namespace() -> str:
+    return cache_mod.CACHE_NAMESPACE
+
+
+@pytest.fixture
+def package_copy(tmp_path) -> Path:
+    """A byte-identical copy of the ``repro`` package source."""
+    src = Path(cache_mod.__file__).resolve().parents[1]
+    dst = tmp_path / "repro"
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+    return dst
+
+
+class TestSourceNamespace:
+    """Keys carry a digest of the package source: no version to bump."""
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "engine/cache.py",
+            "core/certify.py",
+            "machine/distributed.py",
+            "parallel/caps.py",
+            "core/_native/exactscan.c",
+        ],
+    )
+    def test_one_byte_source_edit_moves_the_namespace(self, package_copy, rel):
+        assert source_digest(package_copy) == CACHE_NAMESPACE
+        with open(package_copy / rel, "ab") as f:
+            f.write(b"\n")
+        assert source_digest(package_copy) != CACHE_NAMESPACE
+
+    def test_bytecode_and_non_source_files_do_not_move_it(self, package_copy):
+        (package_copy / "engine" / "__pycache__").mkdir()
+        (package_copy / "engine" / "__pycache__" / "cache.cpython-312.pyc").write_bytes(b"x")
+        (package_copy / "notes.txt").write_text("not source\n")
+        assert source_digest(package_copy) == CACHE_NAMESPACE
+
+    def test_changed_namespace_rebuilds_instead_of_reading_stale(self, tmp_path, monkeypatch):
+        root = tmp_path / "disk"
+        cold = EngineCache(root)
+        expected = cached_estimate("strassen", 2, cache=cold)
+        assert cold.stats.builds > 0
+
+        warm = EngineCache(root)
+        assert cached_estimate("strassen", 2, cache=warm).upper == expected.upper
+        assert warm.stats.builds == 0
+
+        monkeypatch.setattr(cache_mod, "CACHE_NAMESPACE", "0" * 64)
+        edited = EngineCache(root)
+        assert cached_estimate("strassen", 2, cache=edited).upper == expected.upper
+        assert edited.stats.builds > 0
+
+    def test_spawned_child_computes_the_same_namespace(self):
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            assert pool.apply(_child_namespace) == CACHE_NAMESPACE

@@ -15,18 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Severity,
     available_checkers,
     load_baseline,
     run_check,
     write_baseline,
 )
 from repro.analysis.baseline import split_baselined
-from repro.analysis.checkers.cache_fingerprint import (
-    PINS_REL,
-    RESULT_MODULES,
-    write_pins,
-)
 from repro.analysis.runner import CHECK_SCHEMA_VERSION
 from repro.engine.cli import main as cli_main
 
@@ -97,82 +91,6 @@ class TestCacheFingerprint:
         )
         assert codes(report) == []
         assert report.suppressed == 1
-
-
-# --------------------------------------------------------------------- #
-# RC102 cache-version-pin                                               #
-# --------------------------------------------------------------------- #
-
-
-def _engine_tree(tmp_path: Path, version: int = 3) -> Path:
-    cache_py = tmp_path / "src" / "repro" / "engine" / "cache.py"
-    cache_py.parent.mkdir(parents=True)
-    cache_py.write_text(f"CACHE_VERSION = {version}\n")
-    exact_py = tmp_path / "src" / "repro" / "core" / "exact.py"
-    exact_py.parent.mkdir(parents=True)
-    exact_py.write_text("LIMIT = 28\n")
-    return tmp_path
-
-
-class TestCacheVersionPin:
-    def test_missing_pin_map_is_a_warning_not_an_error(self, tmp_path):
-        _engine_tree(tmp_path)
-        report = run_check(
-            paths=[tmp_path / "src"],
-            select=["cache-version-pin"],
-            root=tmp_path,
-            use_baseline=False,
-        )
-        assert codes(report) == ["RC102"]
-        assert report.findings[0].severity == Severity.WARNING
-        assert report.ok  # warnings do not gate
-
-    def test_pinned_tree_is_clean_until_a_module_changes(self, tmp_path):
-        _engine_tree(tmp_path)
-        write_pins(tmp_path)
-        report = run_check(
-            paths=[tmp_path / "src"],
-            select=["cache-version-pin"],
-            root=tmp_path,
-            use_baseline=False,
-        )
-        assert codes(report) == []
-
-        (tmp_path / "src/repro/core/exact.py").write_text("LIMIT = 30\n")
-        report = run_check(
-            paths=[tmp_path / "src"],
-            select=["cache-version-pin"],
-            root=tmp_path,
-            use_baseline=False,
-        )
-        assert codes(report) == ["RC102"]
-        assert "without a CACHE_VERSION bump" in report.findings[0].message
-
-    def test_version_bump_without_repin_is_flagged_at_the_assignment(self, tmp_path):
-        _engine_tree(tmp_path, version=3)
-        write_pins(tmp_path)
-        (tmp_path / "src/repro/engine/cache.py").write_text("CACHE_VERSION = 4\n")
-        report = run_check(
-            paths=[tmp_path / "src"],
-            select=["cache-version-pin"],
-            root=tmp_path,
-            use_baseline=False,
-        )
-        assert codes(report) == ["RC102"]
-        assert "pinned at 3" in report.findings[0].message
-
-    def test_repin_after_bump_restores_clean(self, tmp_path):
-        _engine_tree(tmp_path, version=3)
-        write_pins(tmp_path)
-        (tmp_path / "src/repro/engine/cache.py").write_text("CACHE_VERSION = 4\n")
-        write_pins(tmp_path)
-        report = run_check(
-            paths=[tmp_path / "src"],
-            select=["cache-version-pin"],
-            root=tmp_path,
-            use_baseline=False,
-        )
-        assert codes(report) == []
 
 
 # --------------------------------------------------------------------- #
@@ -913,7 +831,7 @@ class TestFramework:
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_all_twelve_checkers_are_registered(self):
+    def test_all_eleven_checkers_are_registered(self):
         names = available_checkers()
         assert names == sorted(names)
         assert set(names) == {
@@ -922,7 +840,6 @@ class TestFramework:
             "bitset-dtype",
             "broad-except",
             "cache-fingerprint",
-            "cache-version-pin",
             "registry-bench",
             "registry-parallel",
             "registry-pure-cost",
@@ -936,11 +853,3 @@ class TestFramework:
         report = run_check(root=REPO_ROOT)
         assert report.findings == [], "\n".join(f.render() for f in report.findings)
         assert report.ok
-
-    def test_digest_pins_cover_the_result_modules(self):
-        doc = json.loads((REPO_ROOT / PINS_REL).read_text())
-        existing = {rel for rel in RESULT_MODULES if (REPO_ROOT / rel).exists()}
-        assert set(doc["modules"]) == existing
-        from repro.engine.cache import CACHE_VERSION
-
-        assert doc["cache_version"] == CACHE_VERSION

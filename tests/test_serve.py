@@ -21,7 +21,7 @@ from repro.core.bounds import (
     sequential_io_bound,
 )
 from repro.engine.builders import cached_estimate
-from repro.engine.cache import EngineCache
+from repro.engine.cache import CACHE_NAMESPACE, EngineCache
 from repro.serve import (
     JOB_KINDS,
     ExpansionService,
@@ -296,6 +296,7 @@ class TestEndpoints:
         assert body["service"]["requests"] == 2
         assert body["service"]["workers"] == 0
         assert "disk_degraded" in body and "memory" in body
+        assert body["namespace"] == CACHE_NAMESPACE
 
 
 class TestSingleFlight:
