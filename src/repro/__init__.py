@@ -81,7 +81,7 @@ from repro.engine import (
 )
 from repro.engine.planner import Plan, plan
 from repro.machine.cache import FastMemory
-from repro.machine.distributed import Machine, Message
+from repro.machine.distributed import Machine
 from repro.parallel import (
     AnalyticCost,
     ParallelAlgorithm,
@@ -157,7 +157,6 @@ __all__ = [
     "scaling_sweep",
     "FastMemory",
     "Machine",
-    "Message",
     "AnalyticCost",
     "ParallelAlgorithm",
     "ParallelConfig",

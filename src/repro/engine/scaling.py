@@ -21,11 +21,12 @@ artifact, so the critical-path time is recomputed at read time and
 sweeping machine parameters never re-simulates.
 
 Machine parameters flow through one object: a sweep's ``(alpha, beta)``
-pair is materialized as ``Topology.uniform(alpha, beta)`` (bit-identical
-to the historical flat α-β expression), and handing ``ScalingSpec`` a
-heterogeneous :class:`~repro.topology.Topology` re-costs the same cached
-tallies under that machine's effective tier parameters with no new
-plumbing.
+pair is materialized as ``Topology.uniform(alpha, beta)``, which *is* the
+flat α-β model, and handing ``ScalingSpec`` a heterogeneous
+:class:`~repro.topology.Topology` re-costs the same cached tallies under
+that machine's effective tier parameters with no new plumbing.
+:meth:`~repro.topology.Topology.time_from_steps` is the only α-β time
+formula.
 """
 
 from __future__ import annotations
@@ -206,12 +207,9 @@ def _measure(point: ScalingPoint) -> dict:
 
 
 def _ab_time(measured: dict, topology: Topology) -> float:
-    """Critical-path time of the cached tallies on ``topology``.
-
-    On ``Topology.uniform(alpha, beta)`` this is bit-identical to the
-    historical flat expression
-    ``Σ_steps max_r (α·msgs_r + β·words_r)`` (golden-pinned).
-    """
+    """Critical-path time of the cached tallies on ``topology``: on
+    ``Topology.uniform(alpha, beta)`` the flat α-β time
+    ``Σ_steps max_r (α·msgs_r + β·words_r)`` (golden-pinned)."""
     return topology.time_from_steps(measured["step_msgs"], measured["step_words"])
 
 

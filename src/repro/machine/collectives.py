@@ -6,8 +6,7 @@ words the machine logs are the words a real binomial-tree broadcast moves.
 The classical parallel algorithms (Cannon, SUMMA, 3D, 2.5D) are built on
 these.
 
-The broadcast, reduction and shift the algorithms use come only in batched
-form: each runs over a list of disjoint groups (lists of ranks) at once, so
+The broadcast, reduction and shift come only in batched form: each runs over a list of disjoint groups (lists of ranks) at once, so
 the recursive algorithms can run them inside processor subsets.  On a real
 machine, q rows of a grid shift (or broadcast) at the same time; charging
 their rounds as separate supersteps would serialize them on the critical
@@ -15,135 +14,15 @@ path.  So the groups share one round structure, and each round is one
 :meth:`~repro.machine.distributed.Machine.exchange_rows` over the rank
 arrays of all groups (groups may differ in size); a single collective is
 the one-group case.  Receivers hold each array as sent.
-
-``allgather``, ``reduce_scatter``, ``scatter`` and ``gather`` act on one
-group through the per-rank calls and have no caller outside the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.machine.distributed import Machine, Message, row_words
+from repro.machine.distributed import Machine, row_words
 
-__all__ = [
-    "broadcast_many",
-    "reduce_many",
-    "shift_many",
-    "allgather",
-    "reduce_scatter",
-    "scatter",
-    "gather",
-]
-
-
-def allgather(
-    m: Machine, group: list[int], key: str, out_key: str, label: str = "allgather"
-) -> None:
-    """Recursive-doubling allgather: every rank ends with the concatenation
-    (in group order) of all ranks' ``key`` arrays under ``out_key``.
-
-    Non-power-of-two groups fall back to a ring (g−1 rounds), which moves
-    the same asymptotic volume.
-    """
-    g = len(group)
-    chunks: list[dict[int, np.ndarray]] = [
-        {i: m.get(group[i], key)} for i in range(g)
-    ]
-    if g & (g - 1) == 0:
-        step = 1
-        while step < g:
-            msgs = []
-            pairs = []
-            for i in range(g):
-                j = i ^ step
-                if j < g:
-                    payload = np.concatenate([chunks[i][t].ravel() for t in sorted(chunks[i])])
-                    msgs.append(Message(group[i], group[j], f"__ag_{key}_{i}", payload))
-                    pairs.append((i, j))
-            m.exchange(msgs, label=label)
-            new_chunks = [dict(c) for c in chunks]
-            for i, j in pairs:
-                new_chunks[j].update(chunks[i])
-                m.delete(group[j], f"__ag_{key}_{i}")
-            chunks = new_chunks
-            step *= 2
-    else:
-        for r in range(g - 1):
-            msgs = []
-            for i in range(g):
-                j = (i + 1) % g
-                piece = (i - r) % g
-                msgs.append(Message(group[i], group[j], f"__ag_{key}_{piece}", chunks[i][piece]))
-            m.exchange(msgs, label=label)
-            for i in range(g):
-                piece = (i - r) % g
-                j = (i + 1) % g
-                chunks[j][piece] = m.pop(group[j], f"__ag_{key}_{piece}")
-    for i in range(g):
-        full = np.concatenate([chunks[i][t].ravel() for t in range(g)])
-        m.put(group[i], out_key, full)
-
-
-def reduce_scatter(
-    m: Machine, group: list[int], key: str, out_key: str, label: str = "reduce_scatter"
-) -> None:
-    """Pairwise-exchange reduce-scatter: ``key`` holds g equal slabs on every
-    rank; rank i ends with the group-sum of slab i under ``out_key``.
-
-    g−1 cyclic rounds; in round d, rank i sends its local contribution to
-    slab (i+d) mod g directly to that slab's owner.  Moves the
-    bandwidth-optimal (g−1)/g of the data per rank.
-    """
-    g = len(group)
-    slabs = {i: np.array_split(m.get(group[i], key).ravel(), g) for i in range(g)}
-    acc = {i: slabs[i][i].copy() for i in range(g)}
-    for d in range(1, g):
-        msgs = []
-        for i in range(g):
-            j = (i + d) % g
-            msgs.append(Message(group[i], group[j], f"__rs_{key}", slabs[i][j]))
-        m.exchange(msgs, label=label)
-        for i in range(g):
-            incoming = m.pop(group[i], f"__rs_{key}")
-            acc[i] = acc[i] + incoming
-            m.flop(group[i], int(incoming.size))
-    for i in range(g):
-        m.put(group[i], out_key, acc[i])
-
-
-def scatter(
-    m: Machine, group: list[int], root: int, key: str, out_key: str, label: str = "scatter"
-) -> None:
-    """Root splits ``key`` into g equal slabs and sends slab i to group[i]."""
-    g = len(group)
-    data = m.get(root, key)
-    slabs = np.array_split(data.ravel(), g)
-    msgs = []
-    for i in range(g):
-        if group[i] == root:
-            m.put(root, out_key, slabs[i].copy())
-        else:
-            msgs.append(Message(root, group[i], out_key, slabs[i]))
-    m.exchange(msgs, label=label)
-
-
-def gather(
-    m: Machine, group: list[int], root: int, key: str, out_key: str, label: str = "gather"
-) -> None:
-    """Inverse of scatter: root concatenates all ranks' ``key`` arrays."""
-    msgs = []
-    parts: dict[int, np.ndarray] = {}
-    for i, r in enumerate(group):
-        if r == root:
-            parts[i] = m.get(r, key)
-        else:
-            msgs.append(Message(r, root, f"__ga_{key}_{i}", m.get(r, key)))
-    m.exchange(msgs, label=label)
-    for i, r in enumerate(group):
-        if r != root:
-            parts[i] = m.pop(root, f"__ga_{key}_{i}")
-    m.put(root, out_key, np.concatenate([parts[i].ravel() for i in range(len(group))]))
+__all__ = ["broadcast_many", "reduce_many", "shift_many"]
 
 
 def _flat_groups(groups) -> tuple[np.ndarray, np.ndarray]:

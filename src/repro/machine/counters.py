@@ -77,63 +77,19 @@ class IOCounter:
             self.words_written += n_messages * n_words
             self.messages_written += n_messages
 
-    def merged(self, other: "IOCounter") -> "IOCounter":
-        """Sum of two counters (used when composing sub-runs)."""
-        return IOCounter(
-            self.words_read + other.words_read,
-            self.words_written + other.words_written,
-            self.messages_read + other.messages_read,
-            self.messages_written + other.messages_written,
-        )
-
 
 @dataclass
 class SuperstepRecord:
-    """One communication round of the parallel machine.
+    """One communication round of the parallel machine, as a plain record.
 
-    ``sent[r]``/``recv[r]`` are the word totals per rank; ``msgs[r]`` the
-    message counts.  The critical-path charge of the round is
-    ``max_r (sent[r] + recv[r])`` words and ``max_r msgs[r]`` messages —
-    simultaneous transfers on different processors count once (§1.1), while
-    serialization at a single processor is charged in full.
+    ``sent[r]``/``recv[r]`` are the word totals of the ranks that sent or
+    received; ``msgs[r]`` the message counts of the ranks that handled any.
     """
 
     sent: dict[int, int] = field(default_factory=dict)
     recv: dict[int, int] = field(default_factory=dict)
     msgs: dict[int, int] = field(default_factory=dict)
     label: str = ""
-
-    def critical_words(self) -> int:
-        ranks = set(self.sent) | set(self.recv)
-        if not ranks:
-            return 0
-        return max(self.sent.get(r, 0) + self.recv.get(r, 0) for r in ranks)
-
-    def critical_messages(self) -> int:
-        if not self.msgs:
-            return 0
-        return max(self.msgs.values())
-
-    def time(self, alpha: float, beta: float) -> float:
-        """α–β time of the round: ``max_r (α·msgs_r + β·(sent_r + recv_r))``.
-
-        This couples latency and bandwidth *per rank* before taking the max,
-        so it can be strictly smaller than ``α·critical_messages() +
-        β·critical_words()`` when the message-heavy rank and the word-heavy
-        rank differ — the honest critical path of the round.
-        """
-        ranks = set(self.sent) | set(self.recv) | set(self.msgs)
-        if not ranks:
-            return 0.0
-        return max(
-            alpha * self.msgs.get(r, 0)
-            + beta * (self.sent.get(r, 0) + self.recv.get(r, 0))
-            for r in ranks
-        )
-
-    def total_words(self) -> int:
-        """Total words sent in the round (for conservation checks)."""
-        return sum(self.sent.values())
 
 
 class CommLog:
@@ -148,7 +104,7 @@ class CommLog:
 
     _FIELDS = ("sent", "recv", "msgs", "senders", "receivers")
 
-    def __init__(self, p: int = 0):
+    def __init__(self, p: int):
         self.p = int(p)
         self.labels: list[str] = []
         self._rows: dict[str, list[np.ndarray]] = {f: [] for f in self._FIELDS}
@@ -161,28 +117,7 @@ class CommLog:
     ) -> None:
         """Append one superstep from ``(p,)`` per-rank words sent/received
         and messages sent/received."""
-        self._append(label, sent, recv, n_out + n_in, n_out > 0, n_in > 0)
-
-    def add(self, step: SuperstepRecord) -> None:
-        """Append a :class:`SuperstepRecord` (ranks in its dicts are kept as
-        given, widening the log if a rank is ≥ ``p``)."""
-        width = 1 + max([self.p - 1, *step.sent, *step.recv, *step.msgs])
-        if width > self.p:
-            for rows in self._rows.values():
-                rows[:] = [np.pad(row, (0, width - self.p)) for row in rows]
-            self.p = width
-
-        def dense(tally: dict[int, int], values=None) -> np.ndarray:
-            row = np.zeros(self.p, dtype=np.int64 if values is None else bool)
-            row[list(tally)] = list(tally.values()) if values is None else values
-            return row
-
-        self._append(
-            step.label, dense(step.sent), dense(step.recv), dense(step.msgs),
-            dense(step.sent, True), dense(step.recv, True),
-        )
-
-    def _append(self, label: str, *rows: np.ndarray) -> None:
+        rows = (sent, recv, n_out + n_in, n_out > 0, n_in > 0)
         self.labels.append(label)
         for field_rows, row in zip(self._rows.values(), rows):
             field_rows.append(row)
@@ -240,21 +175,6 @@ class CommLog:
     def critical_messages(self) -> int:
         """Latency cost along the critical path."""
         return int(self.step_msgs.max(axis=1, initial=0).sum())
-
-    def time(self, alpha: float, beta: float) -> float:
-        """α–β critical-path time: ``Σ_steps max_r (α·msgs_r + β·words_r)``.
-
-        The per-superstep coupling makes this the time a machine with
-        per-message latency α and per-word cost β actually spends, summed
-        along the critical path; it never exceeds the separable estimate
-        ``α·critical_messages + β·critical_words``.  The max runs over the
-        ranks active in the step, and the steps are summed in order.
-        """
-        d = self._dense()
-        active = d["senders"] | d["receivers"] | (d["msgs"] > 0)
-        per_rank = np.where(active, alpha * d["msgs"] + beta * self.step_words, -np.inf)
-        per_step = np.where(active.any(axis=1), per_rank.max(axis=1, initial=-np.inf), 0.0)
-        return sum(per_step.tolist())
 
     @property
     def total_words(self) -> int:

@@ -22,17 +22,18 @@ shape; see :class:`_Slab`).  Algorithms drive it with rank arrays:
 belonging to ``ranks[i]``, and :meth:`~Machine.exchange_rows` sends one
 payload row per message — each a few fancy-indexed numpy reads and writes,
 whatever the number of ranks.  CAPS, Cannon, SUMMA, 2.5D, 3D and the
-batched collectives all run this way.  The per-rank calls
-(:meth:`~Machine.put`, :meth:`~Machine.get`, :meth:`~Machine.pop`,
-:meth:`~Machine.flop`, and :meth:`~Machine.exchange` with a list of
-:class:`Message`) are the one-rank and one-message cases of the same rules.
+batched collectives all run this way; these row calls are the only way to
+drive the machine.  Reads (:meth:`~Machine.get_rows`,
+:meth:`~Machine.pop_rows`) return copies or read-only per-rank arrays, so
+nothing a caller holds changes under a later store.
 
 Every store goes through one memory-charge rule (vectorised over the rank
 array, in order: the first rank over the limit raises after the ranks
-before it are stored, so a row call charges exactly as the same per-rank
-calls would) and every round through one superstep-tally rule
+before it are stored) and every round through one superstep-tally rule
 (``np.bincount`` over the round's non-self messages into the
-:class:`~repro.machine.counters.CommLog`).
+:class:`~repro.machine.counters.CommLog`).  Pricing the tallies in time is
+:meth:`Topology.time_from_steps <repro.topology.Topology.time_from_steps>`'s
+job, not the machine's.
 
 Why a simulator instead of mpi4py: the paper's quantities are *exact word
 counts*; real MPI startups, eager/rendezvous thresholds and buffering make
@@ -46,27 +47,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.machine.counters import CommLog
 
-__all__ = ["Machine", "Message"]
-
-
-@dataclass(frozen=True)
-class Message:
-    """One point-to-point transfer inside a superstep."""
-
-    src: int
-    dst: int
-    key: str
-    payload: np.ndarray
-
-    @property
-    def words(self) -> int:
-        return int(self.payload.size)
+__all__ = ["Machine"]
 
 
 def row_words(rows: np.ndarray) -> int | np.ndarray:
@@ -85,20 +71,16 @@ class _Slab:
     the holders agree on shape and dtype, and a ``(p,)`` object array of
     per-rank arrays once they do not.  ``held[r]`` says whether rank ``r``
     holds the key and ``words[r]`` how many words (0 where it does not);
-    ``holders`` counts the ranks that hold it.  ``shared`` records that
-    :meth:`Machine.get` handed out a view of ``rows``: the next write
-    copies ``rows`` first (copy-on-write), so a returned array never
-    changes under a later put.
+    ``holders`` counts the ranks that hold it.
     """
 
-    __slots__ = ("rows", "held", "words", "holders", "shared")
+    __slots__ = ("rows", "held", "words", "holders")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
         self.held = np.zeros(len(rows), dtype=bool)
         self.words = np.zeros(len(rows), dtype=np.int64)
         self.holders = 0
-        self.shared = False
 
 
 def _frozen(row) -> np.ndarray:
@@ -128,24 +110,13 @@ class Machine:
         ``MemoryError`` when a rank would exceed it.  ``None`` disables
         enforcement but peaks are still tracked (the paper's "as long as we
         never use more than M" clause).
-    alpha, beta:
-        Latency / inverse-bandwidth for the α–β time estimate; the counted
-        words/messages are independent of these.
     """
 
-    def __init__(
-        self,
-        p: int,
-        memory_limit: int | None = None,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-    ):
+    def __init__(self, p: int, memory_limit: int | None = None):
         if p < 1:
             raise ValueError("need at least one processor")
         self.p = int(p)
         self.memory_limit = memory_limit
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self._slabs: dict[str, _Slab] = {}
         self._mem_used = np.zeros(p, dtype=np.int64)
         self._mem_peak = np.zeros(p, dtype=np.int64)
@@ -168,15 +139,9 @@ class Machine:
     # storage                                                             #
     # ------------------------------------------------------------------ #
 
-    def put(self, rank: int, key: str, value: np.ndarray) -> None:
-        """Store a copy of an array in a rank's local memory (replacing any
-        old value)."""
-        value = np.asarray(value)
-        self._store(key, self._rank(rank), value[None], value.size)
-
     def put_rows(self, ranks, key: str, rows: np.ndarray) -> None:
-        """Store ``rows[i]`` under ``key`` on rank ``ranks[i]`` — exactly
-        ``put(ranks[i], key, rows[i])`` for each ``i`` in order.
+        """Store a copy of ``rows[i]`` under ``key`` on rank ``ranks[i]``
+        (replacing any old value), charging the ranks in order.
 
         ``rows`` is a ``(len(ranks), *shape)`` array, or an object array of
         per-rank arrays when their shapes differ.  Ranks must be distinct.
@@ -228,14 +193,12 @@ class Machine:
                 and slab.rows.dtype == rows.dtype
                 and slab.rows.shape[1:] == rows.shape[1:]
             ):
-                if slab.shared:
-                    slab.rows, slab.shared = slab.rows.copy(), False
                 slab.rows[idx] = rows
                 return slab
             if slab.holders > np.count_nonzero(slab.held[idx]):
                 if dense:
                     kept = np.flatnonzero(slab.held)
-                    slab.rows, slab.shared = _objects(slab.rows[kept], self.p, kept), False
+                    slab.rows = _objects(slab.rows[kept], self.p, kept)
                 for r, row in zip(idx.tolist(), rows):
                     slab.rows[r] = _frozen(row)
                 return slab
@@ -265,34 +228,14 @@ class Machine:
         if not slab.holders:
             del self._slabs[key]
 
-    def get(self, rank: int, key: str) -> np.ndarray:
-        """Fetch a rank's local array (zero cost — locality is free) as a
-        read-only array that later stores never change."""
-        idx = self._rank(rank)
-        slab = self._held(key, idx)
-        if slab.rows.dtype == object:
-            return slab.rows[idx[0]]
-        slab.shared = True
-        view = slab.rows[idx[0], ...]
-        view.flags.writeable = False
-        return view
-
     def get_rows(self, ranks, key: str) -> np.ndarray:
-        """Every rank's ``key`` array as one row block: ``(len(ranks), ...)``
-        when the key's holders agree on shape, else an object array of
-        per-rank arrays."""
+        """Every rank's ``key`` array (zero cost — locality is free) as one
+        row block: a ``(len(ranks), ...)`` copy when the key's holders agree
+        on shape, else an object array of the (read-only) per-rank arrays."""
         idx = self._ranks(ranks)
         if not len(idx):
             return np.empty((0,))
         return self._held(key, idx).rows[idx]
-
-    def pop(self, rank: int, key: str) -> np.ndarray:
-        """Remove and return a local array, releasing its memory."""
-        idx = self._rank(rank)
-        slab = self._held(key, idx)
-        arr = slab.rows[idx[0]] if slab.rows.dtype == object else slab.rows[idx[0], ...].copy()
-        self._release(key, slab, idx)
-        return arr
 
     def pop_rows(self, ranks, key: str) -> np.ndarray:
         """:meth:`get_rows`, then release ``key`` on every rank (distinct)."""
@@ -304,11 +247,6 @@ class Machine:
         self._release(key, slab, idx)
         return rows
 
-    def delete(self, rank: int, key: str) -> None:
-        """Release a local array."""
-        idx = self._rank(rank)
-        self._release(key, self._held(key, idx), idx)
-
     def delete_rows(self, ranks, key: str) -> None:
         """Release ``key`` on every rank of ``ranks`` (distinct)."""
         idx = self._ranks(ranks, distinct=True)
@@ -316,37 +254,20 @@ class Machine:
             self._release(key, self._held(key, idx), idx)
 
     def has(self, rank: int, key: str) -> bool:
-        self._check_rank(rank)
+        rank = self._check_rank(rank)
         slab = self._slabs.get(key)
         return slab is not None and bool(slab.held[rank])
 
     def keys(self, rank: int) -> list[str]:
-        self._check_rank(rank)
+        rank = self._check_rank(rank)
         return sorted(k for k, slab in self._slabs.items() if slab.held[rank])
 
     def mem_used(self, rank: int) -> int:
-        self._check_rank(rank)
-        return int(self._mem_used[rank])
+        return int(self._mem_used[self._check_rank(rank)])
 
     # ------------------------------------------------------------------ #
     # communication                                                       #
     # ------------------------------------------------------------------ #
-
-    def exchange(self, messages: list[Message] | list[tuple], label: str = "") -> None:
-        """Execute one communication superstep.
-
-        ``messages`` may contain raw tuples ``(src, dst, key, payload)``.
-        Self-sends are local copies and cost nothing (but are delivered).
-        Delivery happens after accounting, in message order, each message
-        a one-rank store of a copy of its payload.
-        """
-        msgs = [m if isinstance(m, Message) else Message(*m) for m in messages]
-        src = self._ranks([m.src for m in msgs])
-        dst = self._ranks([m.dst for m in msgs])
-        self._log_superstep(src, dst, np.array([m.words for m in msgs], dtype=np.int64), label)
-        for i, m in enumerate(msgs):
-            payload = np.asarray(m.payload)
-            self._store(m.key, dst[i : i + 1], payload[None], payload.size)
 
     def exchange_rows(
         self, src, dst, key: str, payload: np.ndarray, label: str = "", *, stacked: bool = True
@@ -354,7 +275,8 @@ class Machine:
         """Execute one superstep whose message ``i`` carries ``payload[i]``
         from rank ``src[i]`` to rank ``dst[i]``.
 
-        Accounting is exactly :meth:`exchange` on the same messages.  With
+        Self-sends are local copies and cost nothing (but are delivered).
+        Delivery happens after accounting and stores a copy.  With
         ``stacked`` (the default) each destination receives its rows stacked
         in message order under one ``key`` — a ``(rows received,
         *payload.shape[1:])`` array — and destinations are stored in rank
@@ -413,16 +335,10 @@ class Machine:
     # computation                                                         #
     # ------------------------------------------------------------------ #
 
-    def flop(self, rank: int, count: int) -> None:
-        """Charge ``count`` arithmetic operations to a rank (current phase)."""
-        self._flop_at(self._rank(rank), count)
-
     def flop_rows(self, ranks, count) -> None:
         """Charge ``count`` arithmetic operations (one count for all, or one
-        per rank) to every rank of ``ranks``."""
-        self._flop_at(self._ranks(ranks), count)
-
-    def _flop_at(self, idx: np.ndarray, count) -> None:
+        per rank) to every rank of ``ranks`` in the current compute phase."""
+        idx = self._ranks(ranks)
         if np.asarray(count).min(initial=0) < 0:
             raise ValueError("negative flop count")
         np.add.at(self._flops, idx, count)
@@ -453,27 +369,12 @@ class Machine:
         """max_r peak local-memory words — the machine's effective M."""
         return int(self._mem_peak.max())
 
-    def time(self, alpha: float | None = None, beta: float | None = None) -> float:
-        """α–β critical-path *time*: ``Σ_steps max_r (α·msgs_r + β·words_r)``.
-
-        Couples latency and bandwidth per rank within each superstep (see
-        :meth:`SuperstepRecord.time <repro.machine.counters.SuperstepRecord.time>`),
-        so measured runs and analytic α–β formulas are comparable in one
-        unit.  Defaults to the machine's own α and β.
-        """
-        a = self.alpha if alpha is None else float(alpha)
-        b = self.beta if beta is None else float(beta)
-        return self.log.time(a, b)
-
-    def _check_rank(self, rank: int) -> None:
+    def _check_rank(self, rank: int) -> int:
+        """One rank: an integer in [0, p)."""
+        rank = operator.index(rank)
         if not (0 <= rank < self.p):
             raise ValueError(f"rank {rank} out of range [0, {self.p})")
-
-    def _rank(self, rank: int) -> np.ndarray:
-        """One rank (an integer, checked against [0, p)) as a rank array."""
-        rank = operator.index(rank)
-        self._check_rank(rank)
-        return np.array([rank])
+        return rank
 
     def _ranks(self, ranks, distinct: bool = False) -> np.ndarray:
         """Ranks as a flat int64 array: integers only, each in [0, p), and

@@ -25,7 +25,9 @@ interface, mirroring the bilinear-scheme registry in
   :func:`available_parallel` — the registry (``cannon``, ``summa``, ``3d``,
   ``2.5d``, ``caps``).
 * :class:`ParallelResult` — the shared result record (critical-path words,
-  messages, α–β time, per-rank memory peaks), promoted here so sibling
+  messages, per-rank memory peaks; :meth:`Topology.time_from_steps
+  <repro.topology.Topology.time_from_steps>` prices its ``machine.log`` in
+  α–β time), promoted here so sibling
   algorithms stop importing it from ``parallel/cannon.py``.
 
 :func:`run_parallel` is the keyword convenience over ``execute``: it builds
@@ -156,10 +158,6 @@ class ParallelResult:
     def mem_peaks(self) -> tuple[int, ...]:
         """Per-rank peak local-memory words (index = rank)."""
         return tuple(int(x) for x in self.machine.mem_peak)
-
-    def time(self, alpha: float = 1.0, beta: float = 1.0) -> float:
-        """α–β critical-path time ``Σ_steps max_r (α·msgs_r + β·words_r)``."""
-        return self.machine.time(alpha, beta)
 
 
 # ---------------------------------------------------------------------- #

@@ -6,10 +6,10 @@ bandwidth β per word).  Real machines are not flat — a fat-tree pays extra
 hops and oversubscribed core bandwidth once a job spans more than one edge
 switch, a torus pays its diameter in latency and its bisection in
 bandwidth, and a multi-GPU cluster switches from NVLink-class links to the
-node interconnect the moment a job leaves one node.  This module
-generalizes ``Machine.time(alpha, beta)`` to such machines without
-touching the simulator: a :class:`Topology` converts the *same* measured
-critical-path counters (or declared analytic costs) into predicted time
+node interconnect the moment a job leaves one node.  This module is the
+one place measured runs are priced in time, flat or not, and it never
+touches the simulator: a :class:`Topology` converts the measured
+per-superstep counters (or declared analytic costs) into predicted time
 under a hierarchy of communication tiers.
 
 Cost contract (every builder must satisfy it — CONTRIBUTING has the
@@ -22,10 +22,10 @@ checklist):
   scaled by the tier's bisection load factor).
 * ``predict_time(words, messages, p, flops)`` =
   ``alpha_eff·messages + beta_eff·words + flops / slowest_flop_rate(p)``.
-* The **uniform** topology must reproduce the flat α-β model *bit for
-  bit*: one tier, contention 1.0, infinite flop rate — so
-  ``Topology.uniform(a, b).time_from_steps(...)`` equals the historical
-  ``Σ_steps max_r (a·msgs_r + b·words_r)`` exactly (golden-pinned).
+* The **uniform** topology *is* the flat α-β model: one tier, contention
+  1.0, infinite flop rate, so ``Topology.uniform(a, b).time_from_steps(...)``
+  is ``Σ_steps max_r (a·msgs_r + b·words_r)``.  There is no second
+  expression of that time to match; the scaling golden pins its values.
 * A builder's validity predicate is ``capacity``: ``validate_p`` rejects
   any p the device set cannot seat (the uniform fleet is unbounded).
 
@@ -180,9 +180,13 @@ class Topology:
     def time_from_steps(self, step_msgs: np.ndarray, step_words: np.ndarray) -> float:
         """``Σ_steps max_r (α_eff·msgs_r + β_eff·words_r)`` from measured tallies.
 
-        On the uniform topology this is *exactly* the historical flat α-β
-        critical-path time (same expression, same float operations); other
-        topologies substitute their effective tier parameters.
+        ``step_msgs``/``step_words`` are the ``(S, p)`` per-superstep,
+        per-rank tallies of :class:`~repro.machine.counters.CommLog`.  This
+        is the only α-β time of a measured run: on the uniform topology
+        ``α_eff, β_eff`` are the flat model's α and β, and other topologies
+        substitute their effective tier parameters.  Coupling the two terms
+        per rank before the max keeps it at or below the separable
+        ``α·critical_messages + β·critical_words``.
         """
         if step_msgs.size == 0:
             return 0.0

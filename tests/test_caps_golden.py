@@ -108,12 +108,13 @@ def _fingerprint_run(r) -> dict:
         [
             rank,
             key,
-            str(m.get(rank, key).dtype),
-            list(m.get(rank, key).shape),
-            hashlib.sha256(np.ascontiguousarray(m.get(rank, key)).tobytes()).hexdigest(),
+            str(held.dtype),
+            list(held.shape),
+            hashlib.sha256(np.ascontiguousarray(held).tobytes()).hexdigest(),
         ]
         for rank in range(m.p)
         for key in m.keys(rank)
+        for held in [m.get_rows([rank], key)[0]]
     ]
     return {
         "C_sha256": hashlib.sha256(np.ascontiguousarray(r.C).tobytes()).hexdigest(),

@@ -65,7 +65,7 @@ class TestDistributeGather:
         grid = Grid2D(q)
         m = Machine(grid.p)
         distribute_blocks(m, X, "X", grid)
-        assert np.array_equal(m.get(grid.rank(1, 0), "X"), X[4:, :4])
+        assert np.array_equal(m.get_rows([grid.rank(1, 0)], "X")[0], X[4:, :4])
 
     def test_layer_rank_override(self):
         n, q = 8, 2

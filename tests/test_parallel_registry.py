@@ -10,6 +10,7 @@ from repro.parallel import (
     get_parallel,
     run_parallel,
 )
+from repro.topology import Topology
 from repro.util.matgen import integer_matrix
 
 #: Every (name, run kwargs) config exercised by the uniform-interface tests;
@@ -70,7 +71,9 @@ class TestUniformRun:
         assert r.analytic is not None and r.analytic.words >= 0
         assert len(r.mem_peaks) == r.p
         assert max(r.mem_peaks) == r.max_mem_peak
-        assert r.time(0.0, 1.0) <= r.critical_words  # coupled ≤ separable
+        log = r.machine.log
+        coupled = Topology.uniform(1.0, 1.0).time_from_steps(log.step_msgs, log.step_words)
+        assert coupled <= r.critical_messages + r.critical_words  # coupled ≤ separable
         assert r.verified is None  # verify defaults off
 
     @pytest.mark.parametrize("name,kwargs", CONFIGS)

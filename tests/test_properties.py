@@ -156,30 +156,28 @@ class TestMachineProperties:
             st.tuples(
                 st.integers(min_value=0, max_value=5),
                 st.integers(min_value=0, max_value=5),
-                st.integers(min_value=1, max_value=40),
             ),
             min_size=1,
             max_size=12,
-        )
+        ),
+        st.integers(min_value=1, max_value=40),
     )
     @settings(max_examples=40, deadline=None)
-    def test_exchange_conservation(self, triples):
+    def test_exchange_conservation(self, pairs, words):
         m = Machine(6)
-        msgs = []
-        for i, (src, dst, words) in enumerate(triples):
-            msgs.append((src, dst, f"k{i}", np.zeros(words)))
-        m.exchange(msgs)
+        src, dst = zip(*pairs)
+        m.exchange_rows(src, dst, "k", np.zeros((len(pairs), words)))
         if m.log.steps:
             step = m.log.steps[-1]
             assert sum(step.sent.values()) == sum(step.recv.values())
-            assert step.critical_words() <= sum(step.sent.values()) + sum(step.recv.values())
+            assert m.log.step_words[-1].max() <= sum(step.sent.values()) + sum(step.recv.values())
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_memory_peak_dominates_usage(self, p, size):
         m = Machine(p)
-        m.put(0, "x", np.zeros(size))
-        m.put(0, "y", np.zeros(size))
-        m.delete(0, "x")
+        m.put_rows([0], "x", np.zeros((1, size)))
+        m.put_rows([0], "y", np.zeros((1, size)))
+        m.delete_rows([0], "x")
         assert m.mem_peak[0] >= m.mem_used(0)
         assert m.mem_peak[0] == 2 * size

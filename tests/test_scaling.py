@@ -118,6 +118,7 @@ class TestSweepCache:
 
     def test_cached_time_matches_machine_time(self, tmp_path):
         from repro.parallel import run_parallel
+        from repro.topology import Topology
         from repro.util.matgen import integer_matrix
 
         cache = EngineCache(disk=False)
@@ -127,7 +128,10 @@ class TestSweepCache:
         A = integer_matrix(56, seed=11)
         B = integer_matrix(56, seed=13)
         r = run_parallel("caps", A, B, p=49)
-        assert row["time"] == pytest.approx(r.time(3.0, 0.25))
+        log = r.machine.log
+        assert row["time"] == Topology.uniform(3.0, 0.25).time_from_steps(
+            log.step_msgs, log.step_words
+        )
 
     def test_json_is_strict(self, sweep_report):
         import json

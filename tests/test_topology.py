@@ -195,9 +195,9 @@ class TestInvariants:
 
 class TestScalingIdentity:
     def test_uniform_topology_reproduces_machine_time(self):
-        """The bit-identity the golden file rests on: Topology.uniform's
-        time equals Machine.time(alpha, beta) on a real measured run."""
-        from repro.machine.distributed import Machine
+        """On a real measured run, ``Topology.uniform``'s time is the flat
+        α-β time ``Σ_steps max_r (α·msgs_r + β·words_r)``, summed here by a
+        plain loop over the log's superstep records."""
         from repro.parallel import ParallelConfig, get_parallel
         from repro.util.matgen import integer_matrix
 
@@ -205,16 +205,16 @@ class TestScalingIdentity:
         B = integer_matrix(32, seed=2)
         r = get_parallel("cannon").execute(A, B, ParallelConfig(n=32, p=16))
         alpha, beta = 1.25, 0.75
-        steps = r.machine.log.steps
-        step_words = np.zeros((len(steps), 16), dtype=np.int64)
-        step_msgs = np.zeros((len(steps), 16), dtype=np.int64)
-        for i, s in enumerate(steps):
-            for rk, w in s.sent.items():
-                step_words[i, rk] += w
-            for rk, w in s.recv.items():
-                step_words[i, rk] += w
-            for rk, cnt in s.msgs.items():
-                step_msgs[i, rk] = cnt
+        log = r.machine.log
+        expected = 0.0
+        for s in log.steps:
+            ranks = set(s.sent) | set(s.recv) | set(s.msgs)
+            expected += max(
+                alpha * s.msgs.get(rk, 0) + beta * (s.sent.get(rk, 0) + s.recv.get(rk, 0))
+                for rk in ranks
+            )
+        assert log.n_supersteps > 0
         topo = Topology.uniform(alpha, beta)
-        assert topo.time_from_steps(step_msgs, step_words) == r.machine.time(alpha, beta)
-        assert isinstance(r.machine, Machine)
+        assert topo.time_from_steps(log.step_msgs, log.step_words) == pytest.approx(
+            expected, rel=1e-12
+        )
