@@ -43,7 +43,7 @@ __all__ = [
 
 #: Must match REPRO_NATIVE_ABI in exactscan.c; a cached .so from an older
 #: source revision whose exported ABI differs is recompiled, not trusted.
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 _SOURCE = Path(__file__).with_name("exactscan.c")
 
@@ -118,10 +118,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_exact_scan.argtypes = [
         ctypes.c_int32,  # n
         ctypes.c_int32,  # b
+        ctypes.c_int32,  # w
         ctypes.c_int32,  # limit
         ctypes.c_int64,  # d
         ctypes.POINTER(ctypes.c_uint64),  # adj
-        ctypes.POINTER(ctypes.c_int64),  # deg
         ctypes.POINTER(ctypes.c_int32),  # low_cut
         ctypes.POINTER(ctypes.c_uint8),  # low_sizes
         ctypes.c_uint64,  # p_lo

@@ -1,41 +1,51 @@
 /* exactscan.c — native exact-expansion subset scan (single translation unit).
  *
- * The kernel mirrors the vectorized numpy scan in repro/core/exact.py
- * (`_scan_span`): the subset space of an n-vertex graph (n <= 64, so every
- * adjacency row is one packed uint64 word) splits into prefix-fixed spans —
- * the high n-b vertex bits are fixed per prefix, the low b bits are
- * enumerated by a binary-reflected doubling recurrence that flips exactly
- * one vertex into every previously enumerated subset (the batched Gray-code
- * walk, O(1) amortized words per subset).  Per doubling level the freshly
- * written cross-sum entries are compared against precomputed integer
- * branch-and-bound thresholds (`boundary <= floor(h_cap * d * |U|) + 1`;
- * the +1 keeps exact ties so the smallest minimizing mask survives), with a
- * block-min reduction so the common no-candidate case stays branch-free and
- * auto-vectorizable; only blocks that contain a candidate are rescanned
- * scalar.  Candidate ratios are IEEE double divisions identical to the
- * numpy backend's, and the lexicographic (h, mask) reduction matches it
- * bit-for-bit.
+ * The kernel finds the lexicographic-best (h, mask) over every subset U of
+ * an n-vertex graph (n <= 64, so every adjacency row is one packed uint64
+ * word) with 1 <= |U| <= limit, by a depth-first branch-and-bound.  The
+ * search decides vertices n-1 down to w one at a time (in or out); below w
+ * it sweeps all 2^w low subsets at once.
  *
- * Before any of that, a prefix-level bound skips whole prefixes.  The edges
- * of U = P ∪ L split into three disjoint classes: high–high, low–high and
- * low–low.  Every U under prefix P cuts all high–high edges between P and
- * the high vertices outside P; each low vertex v cuts either its edges into
- * P (v ∉ L) or its edges into the rest of the high block (v ∈ L), so at
- * least min(|N(v) ∩ P|, |N(v) ∩ H∖P|); low–low edges add >= 0.  That sum,
- * fixed(P), bounds bnd(U) from below for every L, and |U| <= cap =
- * min(limit, |P| + b).  The integer threshold floor(h_cap * d * s) + 1 is
- * nondecreasing in s, so fixed(P) > thr_total[cap] means the per-subset
- * filter would reject every subset of the prefix: skipping it changes no
- * candidate, and (h, mask) stays bit-identical.  The bound costs O(b)
- * popcounts per prefix.
+ * Node state.  I is the decided-in set (k = |I|), O the decided-out set and
+ * F = {0..t-1} the free vertices.  The node carries cut(I, O) and, for each
+ * free v, a_v = |N(v) ∩ I| and o_v = |N(v) ∩ O|; a decision updates only
+ * the free neighbours of the decided vertex.
  *
- * Parallel runs call repro_exact_scan once per span from separate worker
- * processes; `shared_min` points at one double in shared memory (a
- * multiprocessing.Value) used purely to tighten pruning — nonnegative IEEE
- * doubles order like their uint64 bit patterns, so the cross-process
- * running minimum is a relaxed compare-and-swap on the punned bits.  The
- * shared minimum never decides which candidate wins; the final reduction in
- * Python is by (h, mask), so results are identical for every jobs value.
+ * Bound.  For U = I ∪ S with S ⊆ F and |S| = s,
+ *     bnd(U) = cut(I, O) + Σ_{v∈F} a_v + Σ_{v∈S} (o_v - a_v) + e(S, F∖S),
+ * and e(S, F∖S) >= 0, so bnd(U) >= LB(s) = cut + Σ_F a_v + (the s smallest
+ * o_v - a_v).  The node is pruned when no s in [0, min(|F|, limit - k)]
+ * meets the integer threshold thr[k+s] = floor(h_cap * d * (k+s)) + 1
+ * (thr[0] = -1: the empty set is never a cut).  The deltas lie in [-d, d]
+ * and are sorted by counting.  A pruned subset has bnd > floor(h_cap*d*s)+1,
+ * so its ratio exceeds h_cap >= the final h: pruning changes no candidate
+ * that can win, and the +1 keeps exact ties so the smallest minimizing mask
+ * survives.
+ *
+ * Leaf.  With every vertex >= w decided,
+ *     bnd(I ∪ J) = (cut + Σ_{v<w} a_v) + low_cut[J] - 2 Σ_{v∈J} a_v
+ * for each J ⊆ {0..w-1}.  Σ_{v∈J} a_v is built by the binary-reflected
+ * doubling recurrence (each level flips one vertex into every subset
+ * enumerated so far), and a block-min of (low_cut - 2*S - thr) per level
+ * keeps the no-candidate case branch-free; only levels that hold a
+ * candidate are rescanned scalar.  Candidate ratios are IEEE double
+ * divisions identical to the numpy backend's, and the (h, mask) reduction
+ * is a lexicographic minimum, so the visiting order never changes it.
+ *
+ * Spans.  Prefixes number the high vertices >= b (bit j of a prefix is
+ * vertex b + j), exactly as in the numpy kernel (`_scan_span`).  A call
+ * covers prefixes [p_lo, p_hi): the search enters a high vertex's branch
+ * only when that branch's prefix range meets the span.  Parallel runs call
+ * repro_exact_scan once per span from separate worker processes;
+ * `shared_min` points at one double in shared memory used purely to tighten
+ * pruning — nonnegative IEEE doubles order like their uint64 bit patterns,
+ * so the cross-process running minimum is a relaxed compare-and-swap on the
+ * punned bits.  The shared minimum never decides which candidate wins; the
+ * final reduction in Python is by (h, mask), so results are identical for
+ * every jobs value.
+ *
+ * On a 2-core x86-64 host one call takes 0.9-1.6 ms for the 28-32 vertex
+ * circulant graphs and 1.0-1.4 ms for classical122 Dec_2.
  */
 
 #include <math.h>
@@ -47,9 +57,9 @@
 
 /* Bumped whenever the exported signatures change; the Python loader
  * refuses a stale cached .so whose ABI does not match. */
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 
-/* Thresholds are clipped here instead of INT32_MAX so the hot-loop int32
+/* Thresholds are clipped here instead of INT32_MAX so the leaf's int32
  * subtraction `low_cut - 2*S - thr` can never overflow: boundaries are
  * bounded by n*d <= 64*63, far below 2^28.  A clipped threshold >= every
  * possible boundary behaves as "accept all", exactly like numpy's clip —
@@ -80,172 +90,233 @@ static void store_shared_min(volatile uint64_t *addr, double val) {
 
 API int32_t repro_native_abi(void) { return REPRO_NATIVE_ABI; }
 
+typedef struct {
+    int32_t n, b, w, limit;
+    int64_t d;
+    const uint64_t *adj;
+    const int32_t *low_cut;   /* 2^w: vol(J) - 2*e(J) */
+    const uint8_t *low_sizes; /* 2^w: |J| */
+    uint64_t p_lo, p_hi;
+    volatile uint64_t *shared_min;
+    double best_r;
+    uint64_t best_m;
+    double h_cap;         /* min(best_r, shared minimum) behind thr */
+    int32_t thr[65];      /* threshold by total subset size, n <= 64 */
+    int32_t a[64], o[64]; /* |N(v) ∩ I| and |N(v) ∩ O| per free vertex */
+    int32_t *S;           /* 2^w: Σ_{v∈J} a_v */
+    int32_t *leaf_thr;    /* (limit+1) x 2^w: thr[k + |J|] per k */
+    double *leaf_cap;     /* limit+1: the h_cap each leaf_thr row holds */
+} Search;
+
+static void offer(Search *st, double r, uint64_t m) {
+    if (r < st->best_r) {
+        st->best_r = r;
+        st->best_m = m;
+        if (st->shared_min != NULL)
+            store_shared_min(st->shared_min, r);
+    } else if (r == st->best_r && m < st->best_m) {
+        st->best_m = m;
+    }
+}
+
+/* Pick up a tighter running minimum (ours or another process's). */
+static void refresh_cap(Search *st) {
+    double h_cap = st->best_r;
+    if (st->shared_min != NULL) {
+        const double shared = load_shared_min(st->shared_min);
+        if (shared < h_cap)
+            h_cap = shared;
+    }
+    if (h_cap == st->h_cap)
+        return;
+    st->h_cap = h_cap;
+    st->thr[0] = -1; /* the empty set is never a cut */
+    for (int32_t s = 1; s <= st->n; s++) {
+        if (s > st->limit) {
+            st->thr[s] = -1;
+            continue;
+        }
+        double t = floor(h_cap * (double)st->d * (double)s) + 1.0;
+        if (!(t < (double)THR_CLIP))
+            t = (double)THR_CLIP;
+        st->thr[s] = (int32_t)t;
+    }
+}
+
+/* The size-aware bound (see the header): does some s in
+ * [0, min(t, limit - k)] have LB(s) <= thr[k + s]?  `base` is
+ * cut(I, O) + Σ_{v<t} a_v. */
+static int survives(const Search *st, int32_t t, int32_t k, int64_t base) {
+    int32_t smax = st->limit - k;
+    if (smax < 0)
+        return 0;
+    if (base <= (int64_t)st->thr[k])
+        return 1;
+    if (smax > t)
+        smax = t;
+    const int32_t d = (int32_t)st->d;
+    int32_t count[2 * 64 + 1];
+    memset(count, 0, (size_t)(2 * d + 1) * sizeof *count);
+    for (int32_t v = 0; v < t; v++)
+        count[st->o[v] - st->a[v] + d]++;
+    int64_t lb = base;
+    int32_t s = 0;
+    for (int32_t x = 0; x <= 2 * d && s < smax; x++) {
+        for (int32_t c = count[x]; c > 0 && s < smax; c--) {
+            lb += x - d;
+            s++;
+            if (lb <= (int64_t)st->thr[k + s])
+                return 1;
+        }
+    }
+    return 0;
+}
+
+/* Sweep the 2^w low subsets J under the decided-in set `in` (|in| = k);
+ * `base` is cut(I, O) + Σ_{v<w} a_v. */
+static void leaf(Search *st, uint64_t in, int32_t k, int64_t base) {
+    const uint64_t nleaf = (uint64_t)1 << st->w;
+    int32_t *restrict T = st->leaf_thr + (size_t)k * nleaf;
+    if (st->leaf_cap[k] != st->h_cap) {
+        for (uint64_t i = 0; i < nleaf; i++)
+            T[i] = st->thr[k + (int32_t)st->low_sizes[i]];
+        st->leaf_cap[k] = st->h_cap;
+    }
+
+    /* Candidate U = I alone (J empty). */
+    if (k >= 1 && base <= (int64_t)T[0])
+        offer(st, (double)base / (double)(st->d * (int64_t)k), in);
+
+    /* Doubling sweep with fused threshold checks: level v writes S for
+     * every subset whose top leaf bit is v, and the block-min of
+     * (low_cut - 2*S - thr) says whether any candidate exists in the level
+     * without branching per element. */
+    int32_t *restrict S = st->S;
+    S[0] = 0;
+    const int32_t base32 = (int32_t)base;
+    for (int32_t v = 0; v < st->w; v++) {
+        const uint64_t half = (uint64_t)1 << v;
+        const int32_t av = st->a[v];
+        const int32_t *restrict lc = st->low_cut + half;
+        const int32_t *restrict Th = T + half;
+        const int32_t *restrict Sl = S;
+        int32_t *restrict Sh = S + half;
+        int32_t level_min = INT32_MAX;
+        for (uint64_t i = 0; i < half; i++) {
+            const int32_t s2 = Sl[i] + av;
+            Sh[i] = s2;
+            const int32_t t = lc[i] - 2 * s2 - Th[i];
+            level_min = (t < level_min) ? t : level_min;
+        }
+        if (level_min + base32 > 0)
+            continue;
+        /* Rare: at least one candidate in this level — rescan it. */
+        for (uint64_t i = 0; i < half; i++) {
+            const int64_t bnd = (int64_t)lc[i] - 2 * (int64_t)Sh[i] + base;
+            if (bnd > (int64_t)Th[i])
+                continue;
+            const uint64_t idx = half + i;
+            const int64_t tot = k + (int64_t)st->low_sizes[idx];
+            offer(st, (double)bnd / (double)(st->d * tot), in | idx);
+        }
+    }
+}
+
+/* The node with free vertices {0..t-1}: decide vertex t-1, out then in. */
+static void search(Search *st, int32_t t, uint64_t in, int32_t k, int64_t cut,
+                   int64_t free_a) {
+    if (t == st->w) {
+        leaf(st, in, k, cut + free_a);
+        return;
+    }
+    const int32_t v = t - 1;
+    const uint64_t bit = (uint64_t)1 << v;
+    const uint64_t nbr = st->adj[v] & (bit - 1); /* v's free neighbours */
+    const int32_t av = st->a[v], ov = st->o[v];
+
+    for (int32_t take = 0; take <= 1; take++) {
+        const uint64_t child = take ? (in | bit) : in;
+        if (v >= st->b) {
+            /* The child's prefixes: [q, q + 2^(v-b)) with q its high bits. */
+            const uint64_t q = child >> st->b;
+            if (q >= st->p_hi || q + ((uint64_t)1 << (v - st->b)) <= st->p_lo)
+                continue;
+        }
+        int32_t *restrict count = take ? st->a : st->o;
+        uint64_t rest = nbr;
+        while (rest) {
+            count[__builtin_ctzll(rest)]++;
+            rest &= rest - 1;
+        }
+        const int32_t k2 = k + take;
+        const int64_t cut2 = cut + (take ? ov : av);
+        const int64_t free2 =
+            free_a - av + (take ? __builtin_popcountll(nbr) : 0);
+        refresh_cap(st);
+        if (survives(st, v, k2, cut2 + free2))
+            search(st, v, child, k2, cut2, free2);
+        rest = nbr;
+        while (rest) {
+            count[__builtin_ctzll(rest)]--;
+            rest &= rest - 1;
+        }
+    }
+}
+
 /* Scan prefixes [p_lo, p_hi) of the subset space; lexicographic-best
  * (h, mask) including the incoming (best_r_in, best_m_in) seed.
  *
- *   n, b       graph size and low-block width (b = min(n, 16))
+ *   n, b       graph size and prefix offset (prefixes number vertices >= b)
+ *   w          leaf width, 1 <= w <= b: vertices below w are swept
  *   limit      largest subset size considered (|U| <= limit)
  *   d          regularized degree (max degree; ratios divide by d*|U|)
  *   adj        n packed uint64 adjacency rows (undirected, no loops)
- *   deg        n vertex degrees
- *   low_cut    2^b table: vol(L) - 2*e(L) per low subset L
- *   low_sizes  2^b table: |L| per low subset
+ *   low_cut    2^w table: vol(J) - 2*e(J) per leaf subset J
+ *   low_sizes  2^w table: |J| per leaf subset
  *   shared_min optional cross-process running minimum (double bits), or NULL
  *
  * Returns 0 on success, -1 on allocation failure.
  */
 API int32_t repro_exact_scan(
-    int32_t n, int32_t b, int32_t limit, int64_t d,
-    const uint64_t *adj, const int64_t *deg,
-    const int32_t *restrict low_cut, const uint8_t *restrict low_sizes,
+    int32_t n, int32_t b, int32_t w, int32_t limit, int64_t d,
+    const uint64_t *adj,
+    const int32_t *low_cut, const uint8_t *low_sizes,
     uint64_t p_lo, uint64_t p_hi,
     double best_r_in, uint64_t best_m_in,
     volatile uint64_t *shared_min,
     double *out_r, uint64_t *out_m)
 {
-    const uint64_t nlow = (uint64_t)1 << b;
-    const int32_t max_size_p = (n > b) ? (n - b) : 0;
-    const int32_t n_tables = ((max_size_p < limit) ? max_size_p : limit) + 1;
-
-    int32_t *restrict S = malloc(nlow * sizeof *S);
-    int32_t *thr_tables = malloc((size_t)n_tables * nlow * sizeof *thr_tables);
-    double *thr_cap = malloc((size_t)n_tables * sizeof *thr_cap);
-    if (S == NULL || thr_tables == NULL || thr_cap == NULL) {
-        free(S);
-        free(thr_tables);
-        free(thr_cap);
+    const uint64_t nleaf = (uint64_t)1 << w;
+    Search st = {
+        .n = n, .b = b, .w = w, .limit = limit, .d = d, .adj = adj,
+        .low_cut = low_cut, .low_sizes = low_sizes,
+        .p_lo = p_lo, .p_hi = p_hi, .shared_min = shared_min,
+        .best_r = best_r_in, .best_m = best_m_in,
+        .h_cap = -1.0, /* impossible cap: refresh_cap fills thr */
+    };
+    st.S = malloc(nleaf * sizeof *st.S);
+    st.leaf_thr = malloc((size_t)(limit + 1) * nleaf * sizeof *st.leaf_thr);
+    st.leaf_cap = malloc((size_t)(limit + 1) * sizeof *st.leaf_cap);
+    if (st.S == NULL || st.leaf_thr == NULL || st.leaf_cap == NULL) {
+        free(st.S);
+        free(st.leaf_thr);
+        free(st.leaf_cap);
         return -1;
     }
-    for (int32_t i = 0; i < n_tables; i++)
-        thr_cap[i] = -1.0; /* impossible cap: every table starts stale */
+    for (int32_t k = 0; k <= limit; k++)
+        st.leaf_cap[k] = -1.0; /* every row starts stale */
 
-    double best_r = best_r_in;
-    uint64_t best_m = best_m_in;
-    double cap_for_totals = -1.0;
-    int32_t thr_total[65]; /* threshold by total subset size, n <= 64 */
-    int32_t wv[64];        /* |N(v) ∩ P| per low vertex, for the prefix P */
-    int32_t hdeg[64];      /* |N(v) ∩ H| per low vertex (H: the high block) */
-    for (int32_t v = 0; v < b; v++)
-        hdeg[v] = (int32_t)__builtin_popcountll(adj[v] >> b);
-
-    for (uint64_t p = p_lo; p < p_hi; p++) {
-        const int32_t size_p = (int32_t)__builtin_popcountll(p);
-        if (size_p > limit)
-            continue;
-
-        double h_cap = best_r;
-        if (shared_min != NULL) {
-            const double shared = load_shared_min(shared_min);
-            if (shared < h_cap)
-                h_cap = shared;
-        }
-        if (h_cap != cap_for_totals) {
-            cap_for_totals = h_cap;
-            thr_total[0] = -1; /* the empty set is never a cut */
-            for (int32_t s = 1; s <= n; s++) {
-                if (s > limit) {
-                    thr_total[s] = -1;
-                    continue;
-                }
-                double t = floor(h_cap * (double)d * (double)s) + 1.0;
-                if (!(t < (double)THR_CLIP))
-                    t = (double)THR_CLIP;
-                thr_total[s] = (int32_t)t;
-            }
-        }
-
-        /* Boundary of the prefix alone and the per-low-vertex cross
-         * counts |N(v) ∩ P| — O(n) word-popcounts per prefix — and the
-         * prefix bound fixed(P) (see the header). */
-        int64_t base_p = 0;
-        uint64_t pp = p;
-        while (pp) {
-            const int32_t j = __builtin_ctzll(pp);
-            pp &= pp - 1;
-            base_p += deg[b + j];
-            base_p -= 2 * (int64_t)__builtin_popcountll(
-                (adj[b + j] >> b) & (p & (((uint64_t)1 << j) - 1)));
-        }
-        int64_t fixed = base_p;
-        for (int32_t v = 0; v < b; v++) {
-            const int32_t w = (int32_t)__builtin_popcountll((adj[v] >> b) & p);
-            const int32_t rest = hdeg[v] - w;
-            wv[v] = w;
-            fixed -= w - ((w < rest) ? w : rest);
-        }
-        const int32_t cap = (size_p + b < limit) ? size_p + b : limit;
-        if (fixed > (int64_t)thr_total[cap])
-            continue;
-
-        if (thr_cap[size_p] != h_cap) {
-            int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
-            for (uint64_t i = 0; i < nlow; i++)
-                T[i] = thr_total[size_p + (int32_t)low_sizes[i]];
-            thr_cap[size_p] = h_cap;
-        }
-        const int32_t *restrict T = thr_tables + (size_t)size_p * nlow;
-
-        /* Candidate U = P alone (low block empty). */
-        if (size_p >= 1 && base_p <= (int64_t)T[0]) {
-            const double r = (double)base_p / (double)(d * (int64_t)size_p);
-            const uint64_t m = p << b;
-            if (r < best_r) {
-                best_r = r;
-                best_m = m;
-                if (shared_min != NULL)
-                    store_shared_min(shared_min, r);
-            } else if (r == best_r && m < best_m) {
-                best_m = m;
-            }
-        }
-
-        /* Doubling sweep over the low block with fused threshold checks:
-         * level v writes S for every subset whose top low bit is v, and the
-         * block-min of (low_cut - 2*S - thr) says whether any candidate
-         * exists in the level without branching per element. */
-        S[0] = 0;
-        const int32_t base32 = (int32_t)base_p;
-        for (int32_t v = 0; v < b; v++) {
-            const uint64_t half = (uint64_t)1 << v;
-            const int32_t w = wv[v];
-            const int32_t *restrict lc = low_cut + half;
-            const int32_t *restrict Th = T + half;
-            const int32_t *restrict Sl = S;
-            int32_t *restrict Sh = S + half;
-            int32_t level_min = INT32_MAX;
-            for (uint64_t i = 0; i < half; i++) {
-                const int32_t s2 = Sl[i] + w;
-                Sh[i] = s2;
-                const int32_t t = lc[i] - 2 * s2 - Th[i];
-                level_min = (t < level_min) ? t : level_min;
-            }
-            if (level_min + base32 > 0)
-                continue;
-            /* Rare: at least one candidate in this level — rescan it. */
-            for (uint64_t i = 0; i < half; i++) {
-                const int64_t bnd = (int64_t)lc[i] - 2 * (int64_t)Sh[i] + base_p;
-                if (bnd > (int64_t)Th[i])
-                    continue;
-                const uint64_t idx = half + i;
-                const int64_t tot = size_p + (int64_t)low_sizes[idx];
-                const double r = (double)bnd / (double)(d * tot);
-                const uint64_t m = (p << b) | idx;
-                if (r < best_r) {
-                    best_r = r;
-                    best_m = m;
-                    if (shared_min != NULL)
-                        store_shared_min(shared_min, r);
-                } else if (r == best_r && m < best_m) {
-                    best_m = m;
-                }
-            }
-        }
+    /* The root's prefixes are [0, 2^(n-b)); it passes the bound trivially
+     * (every a_v = o_v = 0). */
+    if (p_lo < p_hi && p_lo < ((uint64_t)1 << (n - b))) {
+        refresh_cap(&st);
+        search(&st, n, 0, 0, 0, 0);
     }
 
-    free(S);
-    free(thr_tables);
-    free(thr_cap);
-    *out_r = best_r;
-    *out_m = best_m;
+    free(st.S);
+    free(st.leaf_thr);
+    free(st.leaf_cap);
+    *out_r = st.best_r;
+    *out_m = st.best_m;
     return 0;
 }

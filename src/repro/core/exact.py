@@ -25,19 +25,22 @@ This module rebuilds the machinery around four composable ideas:
   merge is a deterministic lexicographic ``(h, mask)`` reduction, so results
   are identical for every ``jobs`` value.
 
-* **Prefix branch-and-bound** — a whole prefix is skipped when no subset
-  under it can pass the per-subset test.  For ``U = P ∪ L`` (``P`` a set of
-  high vertices ``H``, ``L`` of low ones) the cut edges fall into three
-  disjoint classes: high–high, low–high and low–low.  Every such ``U`` cuts
-  all high–high edges between ``P`` and ``H∖P``; each low vertex ``v`` cuts
-  either its edges into ``P`` (``v ∉ L``) or those into ``H∖P``
-  (``v ∈ L``), so at least ``min(|N(v)∩P|, |N(v)∩(H∖P)|)``; low–low edges
-  add ``≥ 0``.  The sum ``fixed(P)`` bounds every boundary under ``P``, and
-  ``|U| ≤ cap = min(limit, |P| + b)``.  The integer threshold
-  ``floor(h_best·d·s) + 1`` rises with ``s``, so ``fixed(P)`` above the
-  threshold at ``cap`` means the per-subset test would reject every subset
-  of the prefix: skipping it changes no candidate, and ``(h, mask)`` stays
-  bit-identical.
+* **Size-aware branch-and-bound** — one sound bound prunes in both
+  kernels.  Let ``I`` be a decided-in set (``k = |I|``), ``O`` a
+  decided-out set and ``F`` the free vertices, with ``a_v = |N(v)∩I|`` and
+  ``o_v = |N(v)∩O|`` for ``v ∈ F``.  Every ``U = I ∪ S`` with ``S ⊆ F``,
+  ``|S| = s`` has boundary ``cut(I, O) + Σ_{v∈F} a_v + Σ_{v∈S} (o_v − a_v)
+  + e(S, F∖S)``, and the last term is ``≥ 0``; so it is at least
+  ``cut(I, O) + Σ_F a_v`` plus the ``s`` smallest ``o_v − a_v``.  When no
+  ``s ≤ min(|F|, limit − k)`` meets the integer threshold
+  ``floor(h_best·d·(k+s)) + 1`` (the +1 keeps exact ties), no subset under
+  the node can tie or beat ``h_best``: skipping it changes no candidate,
+  and ``(h, mask)`` stays bit-identical.  The numpy kernel applies it once
+  per prefix (``I = P``, ``O = H∖P``, ``F`` the low block) before the
+  ``2^b`` sweep.  The native kernel applies it at every node of a
+  depth-first search that decides vertices ``n−1`` down to
+  ``w = min(b, 8)`` and sweeps only the ``2^w`` subsets under each
+  surviving leaf.
 
 Exact ``h_s`` additionally gets a *size-restricted combinatorial walk*: only
 the ``C(n, ≤s)`` subsets of size at most ``s`` are visited (Gosper
@@ -46,7 +49,7 @@ makes ``h_s`` of a 40-vertex graph a few thousand evaluations instead of a
 ``2^40`` enumeration.
 
 A fourth backend pushes the same scan to native speed: ``backend="native"``
-runs the prefix-sharded doubling walk inside a small C kernel
+runs the prefix-sharded depth-first search inside a small C kernel
 (:mod:`repro.core._native`, one ``.c`` file compiled with the system
 compiler at first use and loaded through ``ctypes``).  It is auto-selected
 whenever the compiled library is importable and the graph fits in packed
@@ -88,9 +91,10 @@ __all__ = [
 ]
 
 #: The policy-selected enumeration ceiling.  The 32-vertex circulant graph
-#: (2^32 subsets) solves in 0.03 s through the native kernel, one process on a
-#: 2-core x86-64 host; the numpy fallback handles the same space, just slower
-#: (raise/lower via REPRO_EXACT_LIMIT for the machine at hand).
+#: (2^32 subsets) solves in ~2 ms through the native kernel's depth-first
+#: branch-and-bound, one process on a 2-core x86-64 host; the numpy fallback
+#: handles the same space, just slower (raise/lower via REPRO_EXACT_LIMIT for
+#: the machine at hand).
 DEFAULT_EXACT_LIMIT = 32
 
 
@@ -124,6 +128,11 @@ def native_backend_available() -> bool:
 #: prefixes to shard across processes.
 _LOW_BITS = 16
 
+#: Leaf width of the native kernel's branch-and-bound: it decides vertices
+#: down to ``w = min(b, _LEAF_BITS)`` and sweeps the ``2^w`` subsets of the
+#: vertices below ``w`` in one doubling pass.
+_LEAF_BITS = 8
+
 
 def _ints_from_rows(rows: np.ndarray) -> list[int]:
     """Per-vertex undirected neighborhoods as arbitrary-width Python ints.
@@ -156,6 +165,34 @@ def _mask_to_bool(mask: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 
 
+def _low_tables(adj: list[int], deg: list[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sizes, cut)`` over the ``2^width`` subsets ``L`` of vertices
+    ``0..width-1``: ``|L|`` and ``vol(L) - 2·e(L)``, both int32.
+
+    Built by the doubling recurrence: step ``v`` extends the tables by
+    flipping vertex ``v`` into every subset enumerated so far (the batched
+    Gray-code update), so each entry costs O(1).
+    """
+    n_sub = 1 << width
+    sizes = np.zeros(n_sub, dtype=np.int32)
+    cut = np.zeros(n_sub, dtype=np.int32)
+    for v in range(width):
+        half = 1 << v
+        # |N(v) ∩ L'| over the subsets L' ⊆ {0..v-1} enumerated so far
+        inter = np.zeros(half, dtype=np.int32)
+        row = adj[v]
+        for u in range(v):
+            q = 1 << u
+            if (row >> u) & 1:
+                np.add(inter[:q], 1, out=inter[q : 2 * q])
+            else:
+                inter[q : 2 * q] = inter[:q]
+        np.add(sizes[:half], 1, out=sizes[half : 2 * half])
+        np.add(cut[:half], deg[v], out=cut[half : 2 * half])
+        cut[half : 2 * half] -= 2 * inter
+    return sizes, cut
+
+
 class _ScanCtx:
     """Precomputed tables for one graph's full subset scan.
 
@@ -165,34 +202,10 @@ class _ScanCtx:
     """
 
     def __init__(self, adj: list[int], deg: list[int], d: int, n: int, limit: int) -> None:
-        self.adj = adj
-        self.deg = deg
         self.d = d
-        self.n = n
         self.limit = limit
         self.b = b = min(n, _LOW_BITS)
-        nlow = 1 << b
-        # Doubling tables over the low block: step v extends the table by
-        # flipping vertex v into every subset enumerated so far (the batched
-        # Gray-code update), so sizes / cut boundaries cost O(1) per subset.
-        sizes = np.zeros(nlow, dtype=np.int32)
-        cut = np.zeros(nlow, dtype=np.int32)  # vol(L) - 2*e(L)
-        for v in range(b):
-            half = 1 << v
-            # |N(v) ∩ L'| over the subsets L' ⊆ {0..v-1} enumerated so far
-            inter = np.zeros(half, dtype=np.int32)
-            row = adj[v]
-            for u in range(v):
-                q = 1 << u
-                if (row >> u) & 1:
-                    np.add(inter[:q], 1, out=inter[q : 2 * q])
-                else:
-                    inter[q : 2 * q] = inter[:q]
-            np.add(sizes[:half], 1, out=sizes[half : 2 * half])
-            np.add(cut[:half], deg[v], out=cut[half : 2 * half])
-            cut[half : 2 * half] -= 2 * inter
-        self.low_sizes = sizes
-        self.low_cut = cut
+        self.low_sizes, self.low_cut = _low_tables(adj, deg, b)
         # High side (vertices b..n-1): per-vertex degree, adjacency among the
         # high vertices, and the bit matrix of edges into the low block.
         nh = n - b
@@ -207,8 +220,11 @@ class _ScanCtx:
         # |N(v) ∩ H| per low vertex v, for the prefix bound in _scan_span.
         self.low_high_deg = rows_low.sum(axis=0, dtype=np.int32)
 
-    def n_prefixes(self) -> int:
-        return 1 << (self.n - self.b)
+
+def _n_prefixes(n: int) -> int:
+    """How many prefixes (fixings of the vertices ``>= min(n, _LOW_BITS)``)
+    split an ``n``-vertex subset space into spans."""
+    return 1 << (n - min(n, _LOW_BITS))
 
 
 def _seed_singletons(deg: list[int], d: int) -> tuple[float, int]:
@@ -276,18 +292,28 @@ def _scan_span(
         if h_cap != thr_for:
             thr.clear()
             thr_for = h_cap
+            # floor(h_cap·d·s) + 1 by total size s = 0..limit (-1: the empty set)
+            thr_total = np.floor(h_cap * d * np.arange(1, limit + 1)) + 1.0
+            thr_total = np.concatenate(([-1.0], thr_total))
         if js:
             base_p = sum(ctx.high_deg[j] for j in js)
             for j in js:
                 base_p -= 2 * (ctx.high_adj[j] & (p & ((1 << j) - 1))).bit_count()
             wv = ctx.rows_low[js].sum(axis=0, dtype=np.int32)
-            # The prefix bound (module docstring): every U under P cuts at
-            # least `fixed`, and |U| <= cap, so skip P when the loosest
-            # threshold it could meet already rejects that much.
-            fixed = base_p - int(wv.sum()) + int(np.minimum(wv, low_high_deg - wv).sum())
+            # The size-aware bound (module docstring): a U under P with s
+            # low vertices cuts at least LB(s) = base_p plus the s smallest
+            # δ_v = |N(v)∩(H∖P)| − |N(v)∩P|; skip P when no s meets
+            # thr_total[|P| + s].  Every LB(s) is at least base_p + Σ min(δ, 0)
+            # and the threshold rises with s, so that sum against the
+            # largest reachable threshold rejects most prefixes first.
+            delta = low_high_deg - 2 * wv
             cap = min(limit, size_p + b)
-            if fixed > np.floor(h_cap * d * cap) + 1.0:
+            if base_p + int(np.minimum(delta, 0).sum()) > thr_total[cap]:
                 continue
+            if base_p > thr_total[size_p]:
+                lb = base_p + np.cumsum(np.sort(delta)[: cap - size_p])
+                if not (lb <= thr_total[size_p + 1 : cap + 1]).any():
+                    continue
         else:
             base_p = 0
             wv = None
@@ -455,12 +481,11 @@ def _full_scan(
     adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
 ) -> tuple[float, int]:
     """Minimum-ratio cut over every subset of size ``1..limit``."""
-    ctx = _ScanCtx(adj, deg, d, n, limit)
     best = _seed_singletons(deg, d)
-    n_pref = ctx.n_prefixes()
+    n_pref = _n_prefixes(n)
     jobs = _span_jobs(jobs, n_pref)
     if jobs == 1:
-        return _scan_span(ctx, 0, n_pref, best)
+        return _scan_span(_ScanCtx(adj, deg, d, n, limit), 0, n_pref, best)
     return _pooled_span_scan("bitset", adj, deg, d, n, limit, n_pref, jobs, best)
 
 
@@ -473,22 +498,20 @@ def _full_scan(
 class _NativeCtx:
     """The packed tables one native scan call reads (per process).
 
-    The low-block doubling tables are the same ones :class:`_ScanCtx`
-    builds for the numpy kernel — the C scan consumes them directly, so the
-    two backends share one definition of the enumeration space.
+    The C kernel decides vertices ``n-1 .. w`` by branch-and-bound and
+    sweeps only the ``2^w`` subsets of vertices ``0..w-1`` at each leaf, so
+    it needs the leaf's size / internal cut tables, not the ``2^b`` ones of
+    :class:`_ScanCtx`.  Prefixes still number the vertices ``>= b``.
     """
 
     n: int
     b: int
+    w: int
     limit: int
     d: int
     adj: np.ndarray  # (n,) uint64 — one packed word per vertex (n <= 64)
-    deg: np.ndarray  # (n,) int64
-    low_cut: np.ndarray  # (2^b,) int32: vol(L) - 2 e(L)
-    low_sizes: np.ndarray  # (2^b,) uint8: |L|
-
-    def n_prefixes(self) -> int:
-        return 1 << (self.n - self.b)
+    low_cut: np.ndarray  # (2^w,) int32: vol(J) - 2 e(J)
+    low_sizes: np.ndarray  # (2^w,) uint8: |J|
 
 
 def _native_ctx(adj: list[int], deg: list[int], d: int, n: int, limit: int) -> _NativeCtx:
@@ -497,16 +520,18 @@ def _native_ctx(adj: list[int], deg: list[int], d: int, n: int, limit: int) -> _
             f"native backend packs rows into single uint64 words (n <= "
             f"{_NATIVE_MAX_VERTICES}); got {n}"
         )
-    scan = _ScanCtx(adj, deg, d, n, limit)
+    b = min(n, _LOW_BITS)
+    w = min(b, _LEAF_BITS)
+    sizes, cut = _low_tables(adj, deg, w)
     return _NativeCtx(
         n=n,
-        b=scan.b,
+        b=b,
+        w=w,
         limit=limit,
         d=d,
         adj=np.array(adj, dtype=np.uint64),
-        deg=np.array(deg, dtype=np.int64),
-        low_cut=np.ascontiguousarray(scan.low_cut, dtype=np.int32),
-        low_sizes=np.ascontiguousarray(scan.low_sizes, dtype=np.uint8),
+        low_cut=cut,
+        low_sizes=sizes.astype(np.uint8),
     )
 
 
@@ -530,10 +555,10 @@ def _native_scan_span(
     rc = lib.repro_exact_scan(
         ctx.n,
         ctx.b,
+        ctx.w,
         ctx.limit,
         ctx.d,
         ctx.adj.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-        ctx.deg.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
         ctx.low_cut.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
         ctx.low_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
         p_lo,
@@ -553,12 +578,11 @@ def _full_scan_native(
     adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
 ) -> tuple[float, int]:
     """:func:`_full_scan` on the C kernel — identical spans, pool, and merge."""
-    ctx = _native_ctx(adj, deg, d, n, limit)
     best = _seed_singletons(deg, d)
-    n_pref = ctx.n_prefixes()
+    n_pref = _n_prefixes(n)
     jobs = _span_jobs(jobs, n_pref)
     if jobs == 1:
-        return _native_scan_span(ctx, 0, n_pref, best)
+        return _native_scan_span(_native_ctx(adj, deg, d, n, limit), 0, n_pref, best)
     return _pooled_span_scan("native", adj, deg, d, n, limit, n_pref, jobs, best)
 
 

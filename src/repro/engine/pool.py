@@ -14,9 +14,9 @@ instead of per-pool ``initializer=`` plumbing:
   the worker runs ``fn(item, cache=...)`` against its memoized
   :func:`worker_cache` for that root and returns the result together with
   its cache-counter delta;
-* exact scans ship a shared-memory handle whose :class:`_ScanCtx` tables a
-  worker installs once per graph (:func:`worker_ctx`) and reuses across
-  all of that graph's prefix spans.
+* exact scans ship a shared-memory handle whose scan tables (``_ScanCtx``
+  or ``_NativeCtx``) a worker installs once per graph (:func:`worker_ctx`)
+  and reuses across all of that graph's prefix spans.
 
 Transport is a duplex pipe per worker carrying pickle **protocol 5**
 frames with out-of-band buffers: contiguous arrays in a task or result are
@@ -188,8 +188,8 @@ def worker_ctx(token: str, build: Callable[[], Any]) -> Any:
 
     The replacement for per-pool ``initializer=`` plumbing: a task message
     carries a small content token (a cache root, a graph digest) and the
-    worker materializes the heavy context (an :class:`EngineCache`, a
-    ``_ScanCtx`` table set) on first sight, then reuses it for every later
+    worker materializes the heavy context (an :class:`EngineCache`, an
+    exact-scan table set) on first sight, then reuses it for every later
     task with the same token — across batches and across call sites,
     because the pool itself is persistent.  Bounded LRU, so a long session
     touching many graphs cannot grow worker memory without bound.

@@ -27,6 +27,9 @@ from repro.core.exact import (
     _full_scan_native,
     _ints_from_rows,
     _mask_to_bool,
+    _n_prefixes,
+    _native_ctx,
+    _native_scan_span,
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
@@ -39,8 +42,9 @@ from repro.core.expansion import (
 )
 
 
-def _oracle(g: CDAG, max_size: int | None = None):
-    """The seed implementation (per-edge loops over materialized masks)."""
+def _oracle_ratios(g: CDAG, max_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate mask (ascending) and its ratio, by the seed
+    implementation's per-edge loops over materialized masks."""
     n = g.n_vertices
     limit = n // 2 if max_size is None else min(max_size, n)
     d = g.max_degree
@@ -57,10 +61,15 @@ def _oracle(g: CDAG, max_size: int | None = None):
     boundary = np.zeros(len(masks), dtype=np.int64)
     for a, b in zip(u.tolist(), v.tolist()):
         boundary += ((masks >> a) ^ (masks >> b)) & 1
-    ratios = boundary / (d * sizes)
+    return masks, boundary / (d * sizes)
+
+
+def _oracle(g: CDAG, max_size: int | None = None):
+    """The seed implementation: the smallest mask of least ratio."""
+    masks, ratios = _oracle_ratios(g, max_size)
     best = int(np.argmin(ratios))
-    best_mask = np.zeros(n, dtype=bool)
-    for i in range(n):
+    best_mask = np.zeros(g.n_vertices, dtype=bool)
+    for i in range(g.n_vertices):
         if (int(masks[best]) >> i) & 1:
             best_mask[i] = True
     return float(ratios[best]), best_mask
@@ -222,6 +231,96 @@ class TestMultiPrefixOracle:
                 r, mask = scan(adj, deg, d, n, s, 1)
                 assert r == h_ref, (kind, n, seed, s)
                 assert np.array_equal(_mask_to_bool(mask, n), m_ref), (kind, n, seed, s)
+
+
+class TestNativeSpanSplits:
+    """Hypothesis: the native kernel honours its span ``[p_lo, p_hi)``.
+
+    Each span of a random split, seeded with ``(inf, 0)``, must return the
+    lexicographic best over exactly its own prefixes, and the merge of the
+    spans must equal the full scan and the seed oracle.  ``_LOW_BITS`` drops
+    to 4 so the prefix space is ``2^(n-4)`` wide.
+    """
+
+    @pytest.mark.skipif(not native_backend_available(), reason="native kernel unavailable")
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(TestMultiPrefixOracle.KINDS),
+        n=st.integers(min_value=9, max_value=20),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    def test_span_merge_matches_full_scan(self, kind, n, seed, data):
+        g = _multi_prefix_graph(kind, n, seed)
+        if g is None or g.max_degree == 0:
+            return
+        adj, deg, d, _ = _scalar_args(g)
+        masks, ratios = _oracle_ratios(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.core.exact._LOW_BITS", 4)
+            n_pref = _n_prefixes(n)
+            cuts = data.draw(st.sets(st.integers(1, n_pref - 1), max_size=6))
+            edges = [0, *sorted(cuts), n_pref]
+            ctx = _native_ctx(adj, deg, d, n, n // 2)
+            merged = (math.inf, 0)
+            for lo, hi in zip(edges, edges[1:]):
+                got = _native_scan_span(ctx, lo, hi, (math.inf, 0))
+                inside = ((masks >> 4) >= lo) & ((masks >> 4) < hi)
+                want = (math.inf, 0)
+                if inside.any():
+                    r = float(ratios[inside].min())
+                    want = (r, int(masks[inside][ratios[inside] == r].min()))
+                assert got == want, (kind, n, seed, lo, hi)
+                merged = min(merged, got)
+            assert merged == _full_scan_native(adj, deg, d, n, n // 2, 1)
+        h_ref, m_ref = _oracle(g)
+        assert merged[0] == h_ref
+        assert np.array_equal(_mask_to_bool(merged[1], n), m_ref)
+
+
+class TestNativeBeyondLimit:
+    """The native kernel reaches past the default limit on disconnected
+    Dec_1 graphs: h = 0, witnessed by the smallest mask among the unions of
+    whole components of size at most n/2."""
+
+    @staticmethod
+    def _components(adj: list[int], n: int) -> list[int]:
+        comps, seen = [], 0
+        for v in range(n):
+            if (seen >> v) & 1:
+                continue
+            comp, frontier = 0, 1 << v
+            while frontier:
+                comp |= frontier
+                nxt = 0
+                while frontier:
+                    u = (frontier & -frontier).bit_length() - 1
+                    frontier &= frontier - 1
+                    nxt |= adj[u]
+                frontier = nxt & ~comp
+            comps.append(comp)
+            seen |= comp
+        return comps
+
+    @pytest.mark.skipif(not native_backend_available(), reason="native kernel unavailable")
+    @pytest.mark.parametrize("scheme", ["strassen122", "classical3"])
+    def test_disconnected_dec1_at_limit_64(self, scheme):
+        g = dec_graph(scheme, 1)
+        adj, _, _, n = _scalar_args(g)
+        assert n > DEFAULT_EXACT_LIMIT
+        comps = self._components(adj, n)
+        assert len(comps) > 1
+        unions = []
+        for pick in range(1, 1 << len(comps)):
+            u = 0
+            for i, comp in enumerate(comps):
+                if (pick >> i) & 1:
+                    u |= comp
+            if u.bit_count() <= n // 2:
+                unions.append(u)
+        h, mask = exact_edge_expansion_v2(g, limit=64, backend="native")
+        assert h == 0.0
+        assert np.array_equal(mask, _mask_to_bool(min(unions), n))
 
 
 class TestBackendsAgree:
