@@ -7,7 +7,9 @@ single-flight, an ``/expansion`` on a graph with h = 0, plus ``/bounds``,
 ``/sweep`` and ``/healthz``) and one bad request (``/scaling?cs=0``, which
 must answer 400, not 500), and checks every response plus the
 ``/cache/info`` counters.  Exits non-zero on any
-failure; prints one summary line on success.
+failure; prints one summary line on success, which also reports (without
+gating them) the seconds from process start to the first ``/healthz`` and
+to the first ``/bounds`` answer.
 
 Usage::
 
@@ -51,7 +53,7 @@ def wait_until_up(port: int, proc: subprocess.Popen, deadline_s: float = 30.0) -
         try:
             status, body = asyncio.run(fetch_json("127.0.0.1", port, "/healthz", timeout=5.0))
         except OSError:
-            time.sleep(0.2)
+            time.sleep(0.02)
             continue
         if status == 200 and body == {"status": "ok"}:
             return
@@ -59,11 +61,21 @@ def wait_until_up(port: int, proc: subprocess.Popen, deadline_s: float = 30.0) -
     raise SystemExit("service did not come up within the deadline")
 
 
+BOUNDS = "/bounds?n=4096&M=256&p=64"
+
+
+def first_bounds(port: int) -> None:
+    """The first ``/bounds`` request after boot (closed form: no build)."""
+    status, body = asyncio.run(fetch_json("127.0.0.1", port, BOUNDS))
+    if status != 200:
+        raise SystemExit(f"{BOUNDS} answered {status} {body!r}")
+
+
 async def hammer(port: int) -> dict:
     expansion = "/expansion?scheme=strassen&k=2"
     mix = [expansion] * CLIENTS  # the identical wave: single-flight's job
     mix += [
-        "/bounds?n=4096&M=256&p=64",
+        BOUNDS,
         "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48",
         # h = 0 graph: its zero-boundary witness certifies the interval [0, 0]
         "/expansion?scheme=classical2&k=3",
@@ -95,6 +107,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as cache_dir:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        start = time.monotonic()
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -112,6 +125,9 @@ def main() -> int:
         )
         try:
             wait_until_up(port, proc)
+            healthz_s = time.monotonic() - start
+            first_bounds(port)
+            bounds_s = time.monotonic() - start
             info = asyncio.run(hammer(port))
         finally:
             proc.send_signal(signal.SIGINT)
@@ -129,7 +145,8 @@ def main() -> int:
     print(
         f"serve smoke ok: {service['requests']} requests, "
         f"{service['deduped']} deduped, builds={stats['builds']}, "
-        f"workers={service['workers']}"
+        f"workers={service['workers']}, "
+        f"start->healthz={healthz_s:.2f}s start->bounds={bounds_s:.2f}s"
     )
     return 0
 

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["VertexKind", "CDAG"]
 
@@ -206,6 +209,8 @@ class CDAG:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric 0/1 adjacency matrix of the undirected simple graph."""
+        import scipy.sparse as sp
+
         u, v = self.undirected_edges
         n = self.n_vertices
         data = np.ones(2 * len(u), dtype=np.float64)
@@ -229,7 +234,9 @@ class CDAG:
         """Connectivity of the undirected view (assumption §5.1.1 checks this)."""
         if self.n_vertices <= 1:
             return True
-        ncomp, _ = sp.csgraph.connected_components(self.adjacency, directed=False)
+        from scipy.sparse.csgraph import connected_components
+
+        ncomp, _ = connected_components(self.adjacency, directed=False)
         return ncomp == 1
 
     # ------------------------------------------------------------------ #

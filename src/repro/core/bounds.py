@@ -3,8 +3,8 @@
 The paper's bounds are asymptotic (Ω/O with unspecified constants).  Each
 function here evaluates the bound's *expression* with constant 1, so that
 experiments can report measured/bound ratios and exponent fits; the shape
-checks in EXPERIMENTS.md are about those ratios being flat/stable, never
-about absolute equality.
+checks in :mod:`repro.experiments` and its tests are about those ratios
+being flat/stable, never about absolute equality.
 
 Covered:
 

@@ -269,8 +269,13 @@ def _scan_span(
     thr_for = math.nan
 
     def _threshold(size_p: int, h_cap: float) -> np.ndarray:
-        t = np.floor(h_cap * d * (size_p + sizesL.astype(np.float64))) + 1.0
-        t = np.minimum(t, 2**31 - 1).astype(np.int32)
+        if math.isinf(h_cap):
+            # No running minimum yet: every boundary survives.  (inf * |U|
+            # would be inf * 0 = NaN at the empty low subset.)
+            t = np.full(nlow, 2**31 - 1, dtype=np.int32)
+        else:
+            t = np.floor(h_cap * d * (size_p + sizesL.astype(np.float64))) + 1.0
+            t = np.minimum(t, 2**31 - 1).astype(np.int32)
         over = np.flatnonzero(sizesL > limit - size_p)
         t[over] = -1
         if size_p == 0:

@@ -48,10 +48,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
@@ -62,6 +61,9 @@ from repro.core.exact import (
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "effective_exact_limit",
@@ -166,6 +168,8 @@ def _regularized_laplacian(g: CDAG) -> tuple[sp.csr_matrix, int]:
     ``L = I − (A + (d − deg)·I)/d``; loops appear only on the diagonal and
     leave every cut untouched, exactly the paper's §2.0.2 convention.
     """
+    import scipy.sparse as sp
+
     d = g.max_degree
     A = g.adjacency
     deg = g.degree.astype(np.float64)
@@ -202,6 +206,9 @@ def _two_smallest_eigs(L: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     Falls back to plain 'SA' Lanczos if the factorization or the
     shift-invert iteration fails.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = L.shape[0]
     if n <= 600:
         w, V = np.linalg.eigh(L.toarray())

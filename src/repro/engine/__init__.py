@@ -18,64 +18,72 @@ Layers (bottom up):
 * :mod:`repro.engine.bench` — the benchmark-workload registry, the
   ``BENCH_<tag>.json`` emitter, and the baseline-comparison gate;
 * :mod:`repro.engine.cli` — the ``python -m repro`` command-line front end.
+
+The names below resolve on first access (:mod:`repro._lazy`), so a pool
+worker that imports :mod:`repro.engine.pool` loads none of the others.
 """
 
-from repro.engine.cache import (
-    CacheStats,
-    EngineCache,
-    cache_key,
-    default_cache,
-    default_cache_root,
-    scheme_fingerprint,
-    set_default_cache,
-)
-from repro.core.expansion import POLICIES
-from repro.engine.builders import (
-    AUTO_SPECTRAL_LIMIT,
-    cached_dec_graph,
-    cached_estimate,
-    cached_h_graph,
-    cached_spectrum,
-)
-from repro.engine.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchComparison,
-    BenchWorkload,
-    available_benches,
-    compare_benchmarks,
-    get_bench,
-    register_bench,
-    run_bench,
-    run_suite,
-    selected_benches,
-)
-from repro.engine.grid import GridPoint, GridReport, GridSpec, evaluate_point, run_grid
-from repro.engine.pool import (
-    PoolStats,
-    max_pool_workers,
-    pool_enabled,
-    pool_info,
-    pool_stats_snapshot,
-    prewarm,
-    serial_fallback_reason,
-    shutdown_pool,
-    submit_batch,
-    submit_one,
-)
-from repro.engine.planner import (
-    Plan,
-    default_memory_ladder,
-    enumerate_plans,
-    plan,
-    plan_report,
-)
-from repro.engine.scaling import (
-    ScalingPoint,
-    ScalingReport,
-    ScalingSpec,
-    evaluate_scaling_point,
-    scaling_sweep,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.engine.cache import (
+        CacheStats,
+        EngineCache,
+        cache_key,
+        default_cache,
+        default_cache_root,
+        scheme_fingerprint,
+        set_default_cache,
+    )
+    from repro.core.expansion import POLICIES
+    from repro.engine.builders import (
+        AUTO_SPECTRAL_LIMIT,
+        cached_dec_graph,
+        cached_estimate,
+        cached_h_graph,
+        cached_spectrum,
+    )
+    from repro.engine.bench import (
+        BENCH_SCHEMA_VERSION,
+        BenchComparison,
+        BenchWorkload,
+        available_benches,
+        compare_benchmarks,
+        get_bench,
+        register_bench,
+        run_bench,
+        run_suite,
+        selected_benches,
+    )
+    from repro.engine.grid import GridPoint, GridReport, GridSpec, evaluate_point, run_grid
+    from repro.engine.pool import (
+        PoolStats,
+        max_pool_workers,
+        pool_enabled,
+        pool_info,
+        pool_stats_snapshot,
+        prewarm,
+        serial_fallback_reason,
+        shutdown_pool,
+        submit_batch,
+        submit_one,
+    )
+    from repro.engine.planner import (
+        Plan,
+        default_memory_ladder,
+        enumerate_plans,
+        plan,
+        plan_report,
+    )
+    from repro.engine.scaling import (
+        ScalingPoint,
+        ScalingReport,
+        ScalingSpec,
+        evaluate_scaling_point,
+        scaling_sweep,
+    )
 
 __all__ = [
     "CacheStats",
@@ -127,3 +135,5 @@ __all__ = [
     "evaluate_scaling_point",
     "scaling_sweep",
 ]
+
+__getattr__, __dir__ = attach(__name__)

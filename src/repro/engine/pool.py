@@ -4,10 +4,14 @@ Before this module, each parallel surface paid full spawn-pool startup per
 call: :func:`repro.engine.grid.run_grid` built a fresh ``spawn`` pool per
 sweep, the exact-expansion engine built one per graph, and the serving
 layer's process executor booted cold caches per restart.  A spawned worker
-costs a fresh interpreter plus the numpy/scipy imports — often more than
-the sharded scan it parallelizes.  This module keeps **one warm pool per
-process** and ships work to it as lightweight per-task context messages
-instead of per-pool ``initializer=`` plumbing:
+costs a fresh interpreter plus the imports of the tasks it runs — often
+more than the sharded scan it parallelizes.  Because the package inits
+resolve their names lazily (:mod:`repro._lazy`), a worker that runs exact
+scans loads numpy, this module, :mod:`repro.core.exact` and
+:mod:`repro.cdag` (about 270 modules, no scipy); a worker that runs cached
+spectral work loads scipy when its first eigensolve does.  This module
+keeps **one warm pool per process** and ships work to it as lightweight
+per-task context messages instead of per-pool ``initializer=`` plumbing:
 
 * cached work — grid points, scaling points, serve jobs — ships as
   ``(fn, item, cache_root)`` through :func:`map_cached` / :func:`cached_task`:

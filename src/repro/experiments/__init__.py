@@ -1,6 +1,7 @@
 """Experiment harnesses regenerating each of the paper's tables and figures.
 
-Each module maps to experiment ids in DESIGN.md §4:
+Each module regenerates the experiments with these ids (README.md's
+"Layout" section maps the rest of the package):
 
 * :mod:`repro.experiments.seq_io` — E1/E2 (Eq. 1, Thm 1.1, Thm 1.3)
 * :mod:`repro.experiments.expansion_exp` — E3 (Lemma 4.3, Cor. 4.4)

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment outputs.
 
 Every experiment returns rows of dicts; this module renders them in the
-aligned ASCII style the benchmarks print and EXPERIMENTS.md records.
+aligned ASCII style the benchmarks and ``python -m repro`` commands print.
 """
 
 from __future__ import annotations

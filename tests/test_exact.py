@@ -10,6 +10,7 @@ walk (:func:`_gray_scan_py`) is a second, independently coded oracle.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec1_graph, dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
+    _ScanCtx,
     _bounded_walk_py,
     _full_scan,
     _full_scan_native,
@@ -30,6 +32,7 @@ from repro.core.exact import (
     _n_prefixes,
     _native_ctx,
     _native_scan_span,
+    _scan_span,
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
@@ -276,6 +279,24 @@ class TestNativeSpanSplits:
         h_ref, m_ref = _oracle(g)
         assert merged[0] == h_ref
         assert np.array_equal(_mask_to_bool(merged[1], n), m_ref)
+
+
+class TestScanSpanInfiniteSeed:
+    """A numpy-backend span started from ``(inf, 0)``, with no running
+    minimum to share, prunes nothing and computes no NaN threshold."""
+
+    def test_no_runtime_warning_and_same_result(self):
+        g = layered_circulant_cdag(18)
+        adj, deg, d, n = _scalar_args(g)
+        ctx = _ScanCtx(adj, deg, d, n, n // 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _scan_span(ctx, 0, 1, (math.inf, 0))
+        masks, ratios = _oracle_ratios(g)
+        inside = (masks >> ctx.b) == 0
+        r = float(ratios[inside].min())
+        assert got == (r, int(masks[inside][ratios[inside] == r].min()))
+        assert got == (11 / 54, 511)
 
 
 class TestNativeBeyondLimit:
