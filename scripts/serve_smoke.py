@@ -4,9 +4,11 @@
 Boots the real CLI entry point as a subprocess on a free port, fires a
 concurrent request mix (an identical-``/expansion`` wave to exercise
 single-flight, an ``/expansion`` on a graph with h = 0, plus ``/bounds``,
-``/sweep`` and ``/healthz``) and one bad request (``/scaling?cs=0``, which
-must answer 400, not 500), and checks every response plus the
-``/cache/info`` counters.  Exits non-zero on any
+``/sweep``, ``/plan`` and ``/healthz``) and one bad request
+(``/scaling?cs=0``, which must answer 400, not 500), then asks every job
+key of the mix again: each repeat must decode to the same body as the
+first answer, and the ``/cache/info`` hit counter must rise.  Checks every
+response plus the ``/cache/info`` counters.  Exits non-zero on any
 failure; prints one summary line on success, which also reports (without
 gating them) the seconds from process start to the first ``/healthz`` and
 to the first ``/bounds`` answer.
@@ -77,6 +79,7 @@ async def hammer(port: int) -> dict:
     mix += [
         BOUNDS,
         "/sweep?schemes=strassen&k_min=1&k_max=2&memories=48",
+        "/plan?n=56&topology=fat-tree:4x4",
         # h = 0 graph: its zero-boundary witness certifies the interval [0, 0]
         "/expansion?scheme=classical2&k=3",
         expansion,
@@ -92,6 +95,19 @@ async def hammer(port: int) -> dict:
     bodies = [body for _, body in results[:CLIENTS]]
     if any(body != bodies[0] for body in bodies):
         raise SystemExit("identical /expansion requests returned differing payloads")
+    before = await cache_info(port)
+    first = dict(zip(mix, (body for _, body in results)))
+    for target in dict.fromkeys(t for t in mix if t != "/healthz"):
+        status, body = await fetch_json("127.0.0.1", port, target)
+        if status != 200 or body != first[target]:
+            raise SystemExit(f"repeated {target} answered {status} with a different body")
+    info = await cache_info(port)
+    if info["stats"]["hits"] <= before["stats"]["hits"]:
+        raise SystemExit("repeated keys did not raise the /cache/info hit counter")
+    return info
+
+
+async def cache_info(port: int) -> dict:
     status, info = await fetch_json("127.0.0.1", port, "/cache/info")
     if status != 200:
         raise SystemExit(f"/cache/info answered {status}")

@@ -138,6 +138,9 @@ def scheme_fingerprint(scheme: BilinearScheme) -> str:
     return h.hexdigest()[:16]
 
 
+_PLAIN_SCALARS = (int, float, str, bool)
+
+
 def _normalize_param(value: Any) -> Any:
     """Decay NumPy scalars (recursively through tuples/lists) to Python ones.
 
@@ -146,8 +149,14 @@ def _normalize_param(value: Any) -> Any:
     ``np.int64`` recursion depth and the equal plain ``int`` would land in
     *different* cache entries.  Booleans are checked before integers because
     ``np.bool_`` is not an ``np.integer`` but plain ``bool`` *is* an ``int``
-    — ``True`` and ``1`` must keep their distinct reprs.
+    — ``True`` and ``1`` must keep their distinct reprs.  Exact plain
+    Python scalars return first (an exact ``type`` test, so subclasses such
+    as ``np.float64`` still take the isinstance chain).
     """
+    if type(value) in _PLAIN_SCALARS:
+        return value
+    if isinstance(value, (tuple, list)):
+        return type(value)(_normalize_param(v) for v in value)
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -156,8 +165,6 @@ def _normalize_param(value: Any) -> Any:
         return float(value)
     if isinstance(value, np.str_):
         return str(value)
-    if isinstance(value, (tuple, list)):
-        return type(value)(_normalize_param(v) for v in value)
     return value
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "Request",
     "Response",
     "fetch_json",
+    "json_body",
     "json_response",
     "read_request",
 ]
@@ -158,10 +159,14 @@ class Response:
         return head + self.body
 
 
+def json_body(payload: Any) -> bytes:
+    """``payload`` encoded as a strict-JSON body (NaN/inf become ``null``)."""
+    return json.dumps(jsonable(payload), allow_nan=False).encode()
+
+
 def json_response(status: int, payload: Any) -> Response:
     """Serialize ``payload`` as a strict-JSON response body."""
-    body = json.dumps(jsonable(payload), allow_nan=False).encode()
-    return Response(status=status, body=body)
+    return Response(status=status, body=json_body(payload))
 
 
 async def fetch_json(

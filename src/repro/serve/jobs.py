@@ -11,9 +11,13 @@ Execution comes in two shapes: :func:`run_job_inline` runs in the serving
 process (thread executor) against the shared cache, and
 :func:`run_job_pooled` ships the same call to the shared persistent worker
 pool through :func:`repro.engine.pool.cached_task`, where it runs against
-a per-worker cache over the same disk root and returns the payload
-together with the worker's cache-counter delta so the parent can
+a per-worker cache over the same disk root and returns the body together
+with the worker's cache-counter delta so the parent can
 :meth:`~repro.engine.cache.EngineCache.merge_stats`.
+
+Both return the job's strict-JSON response body as ``bytes``: the payload
+dict is encoded once, when it is built, and the memory tier keeps the
+encoded body, so a hot key is answered without re-encoding anything.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.engine import pool as pool_runtime
 from repro.core.expansion import validate_policy
 from repro.engine.builders import cached_estimate
 from repro.engine.cache import EngineCache, cache_key
+from repro.serve.http import json_body
 
 __all__ = [
     "JOB_KINDS",
@@ -163,10 +168,12 @@ def _parse_scaling(raw: dict[str, str]) -> dict[str, Any]:
 
 
 def _parse_plan(raw: dict[str, str]) -> dict[str, Any]:
-    from repro.topology import Topology
+    from repro.topology.model import parse_spec
 
     topology = raw.get("topology", "uniform")
-    Topology.parse(topology)  # reject malformed specs at the 400 boundary
+    # Reject malformed specs at the 400 boundary.  Only the grammar is
+    # checked: building a large topology here would stall the event loop.
+    parse_spec(topology)
     return {
         "n": _as_int(raw, "n", 4096, 4, MAX_PLAN_N),
         "topology": topology,
@@ -345,19 +352,23 @@ def build_payload(job: Job, cache: EngineCache) -> dict[str, Any]:
     return _BUILDERS[job.kind](job.as_dict(), cache)
 
 
-def run_job_inline(job: Job, cache: EngineCache) -> dict[str, Any]:
-    """Thread-executor path: single-flight build against the shared cache."""
-    return cache.memoize(job.key(), lambda: build_payload(job, cache))
+def run_job_inline(job: Job, cache: EngineCache) -> bytes:
+    """Thread-executor path: single-flight build of the encoded response body.
+
+    The memory tier holds the body bytes, so every later hit on the key
+    returns them as they are.
+    """
+    return cache.memoize(job.key(), lambda: json_body(build_payload(job, cache)))
 
 
-def run_job_pooled(job: Job, root: str | None) -> tuple[dict[str, Any], dict[str, int]]:
+def run_job_pooled(job: Job, root: str | None) -> tuple[bytes, dict[str, int]]:
     """Ship one job to the shared persistent pool (``workers > 0`` mode).
 
     The worker runs :func:`run_job_inline` against its own cache over
-    ``root`` and returns ``(payload, cache-counter delta)``.  Blocking —
+    ``root`` and returns ``(body, cache-counter delta)``.  Blocking —
     the service calls it from executor threads, each of which checks out
     its own pool worker, so distinct jobs overlap across processes.  Under
     ``REPRO_POOL=0`` or serial fallback the job runs inline with identical
-    semantics (the payload/delta contract holds).
+    semantics (the body/delta contract holds).
     """
     return pool_runtime.submit_one(pool_runtime.cached_task, (run_job_inline, job, root))

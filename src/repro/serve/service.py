@@ -12,10 +12,17 @@ it is dispatched to an executor:
 * ``workers > 0`` — jobs ship to the process-wide persistent worker pool
   (:mod:`repro.engine.pool`, pre-warmed at service start), each worker
   holding a private cache over the same disk root (the grid runner's
-  sharing model).  Workers return ``(payload, counter-delta)`` and the
+  sharing model).  Workers return ``(body, counter-delta)`` and the
   parent merges the delta, so ``/cache/info`` reflects the whole fleet.
   A small thread executor hosts the blocking pool round-trips so the
-  event loop never waits on a pipe.
+  event loop never waits on a pipe.  ``/bounds`` is closed-form and
+  never worth a pipe round trip: it runs in that thread executor against
+  the service's own cache in both modes.
+
+Jobs answer with their strict-JSON body as ``bytes``, encoded once when
+the payload is built (:func:`~repro.serve.jobs.run_job_inline`); the
+memory tier holds those bytes, so a hot key is answered as stored, with no
+copy and no re-encoding, and the tier's byte cap counts body bytes.
 
 Single-flight: the loop keeps one future per in-flight job key.  N
 identical concurrent requests await the same future — exactly one build
@@ -36,7 +43,6 @@ import asyncio
 import concurrent.futures
 import sys
 from dataclasses import dataclass
-from typing import Any
 
 from repro.engine import pool as pool_runtime
 from repro.engine.cache import EngineCache, default_cache_root
@@ -84,7 +90,7 @@ class ExpansionService:
                 memory_bytes=config.memory_bytes,
             )
         self._lock = asyncio.Lock()  # guards _inflight and shared-cache access
-        self._inflight: dict[str, asyncio.Future[dict[str, Any]]] = {}
+        self._inflight: dict[str, asyncio.Future[bytes]] = {}
         self._pool_root: str | None = None
         self._executor: concurrent.futures.Executor | None = None
         self._server: asyncio.Server | None = None
@@ -214,14 +220,13 @@ class ExpansionService:
         if kind not in JOB_KINDS:
             return json_response(404, {"error": f"no route for {request.path!r}"})
         job = parse_job(kind, request.query)
-        payload = await self._submit(job.key(), job)
-        return json_response(200, payload)
+        return Response(200, await self._submit(job.key(), job))
 
     # ------------------------------------------------------------------ #
     # single-flight dispatch                                               #
     # ------------------------------------------------------------------ #
 
-    async def _submit(self, key: str, job: Job) -> dict[str, Any]:
+    async def _submit(self, key: str, job: Job) -> bytes:
         """Deduplicated dispatch: one build per key, however many awaiters."""
         async with self._lock:
             fut = self._inflight.get(key)
@@ -230,31 +235,31 @@ class ExpansionService:
             else:
                 cached = self.cache.get_object(key)
                 if cached is not None:
-                    return dict(cached)
+                    return cached  # immutable bytes: shared, not copied
                 fut = asyncio.ensure_future(self._dispatch(key, job))
                 self._inflight[key] = fut
         # shield: a cancelled follower must not cancel the shared build.
         return await asyncio.shield(fut)
 
-    async def _dispatch(self, key: str, job: Job) -> dict[str, Any]:
+    async def _dispatch(self, key: str, job: Job) -> bytes:
         loop = asyncio.get_running_loop()
         assert self._executor is not None
         try:
-            if self.config.workers > 0:
-                payload, delta = await loop.run_in_executor(
+            if self.config.workers > 0 and job.kind != "bounds":
+                body, delta = await loop.run_in_executor(
                     self._executor, run_job_pooled, job, self._pool_root
                 )
                 async with self._lock:
                     self.cache.merge_stats(delta)
-                    self.cache.put_object(key, payload)
+                    self.cache.put_object(key, body)
             else:
-                payload = await loop.run_in_executor(
+                body = await loop.run_in_executor(
                     self._executor, run_job_inline, job, self.cache
                 )
         finally:
             async with self._lock:
                 self._inflight.pop(key, None)
-        return payload
+        return body
 
 
 def run(config: ServeConfig) -> int:

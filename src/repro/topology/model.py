@@ -48,6 +48,7 @@ __all__ = [
     "Link",
     "Topology",
     "TOPOLOGY_FAMILIES",
+    "parse_spec",
 ]
 
 #: Spec-string families accepted by :meth:`Topology.parse`.
@@ -375,22 +376,33 @@ class Topology:
         ``torus:D1xD2[x...]`` | ``gpu:NxG``.  ``alpha``/``beta`` set the
         base link parameters of whichever family is named.
         """
-        family, _, rest = spec.partition(":")
+        family, dims = parse_spec(spec)
         if family == "uniform":
-            p = _parse_dims(spec, rest, exactly=1)[0] if rest else None
-            return cls.uniform(alpha, beta, p=p)
+            return cls.uniform(alpha, beta, p=dims[0] if dims else None)
         if family == "fat-tree":
-            s, h = _parse_dims(spec, rest, exactly=2)
-            return cls.fat_tree(s, h, alpha, beta)
+            return cls.fat_tree(*dims, alpha=alpha, beta=beta)
         if family == "torus":
-            return cls.torus(_parse_dims(spec, rest), alpha, beta)
-        if family in ("gpu", "gpu-cluster"):
-            n, g = _parse_dims(spec, rest, exactly=2)
-            return cls.gpu_cluster(n, g, alpha, beta)
-        raise ValueError(
-            f"unknown topology family {family!r} in {spec!r}; "
-            f"choose from {TOPOLOGY_FAMILIES}"
-        )
+            return cls.torus(dims, alpha, beta)
+        return cls.gpu_cluster(*dims, alpha=alpha, beta=beta)
+
+
+def parse_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Check ``spec`` against :meth:`Topology.parse`'s grammar without building it.
+
+    Returns ``(family, dims)``, where ``dims`` is ``()`` for a bare
+    ``uniform``; raises ``ValueError`` on an unknown family or malformed dims.
+    """
+    family, _, rest = spec.partition(":")
+    if family == "uniform":
+        return family, _parse_dims(spec, rest, exactly=1) if rest else ()
+    if family in ("fat-tree", "gpu", "gpu-cluster"):
+        return family, _parse_dims(spec, rest, exactly=2)
+    if family == "torus":
+        return family, _parse_dims(spec, rest)
+    raise ValueError(
+        f"unknown topology family {family!r} in {spec!r}; "
+        f"choose from {TOPOLOGY_FAMILIES}"
+    )
 
 
 def _check_positive(**params: float) -> None:

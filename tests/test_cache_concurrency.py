@@ -58,6 +58,19 @@ class TestKeyNormalization:
         plain = (1, [2.0, "x"])
         assert cache_key("t", None, v=mixed) == cache_key("t", None, v=plain)
 
+    def test_job_params_share_key_with_numpy_equivalents(self):
+        # the plain-scalar fast path and the isinstance chain agree
+        plain = (("cs", (1, 2, 4)), ("k", 4), ("omega0", 2.5), ("scheme", "strassen"))
+        typed = (
+            ("cs", (np.int64(1), np.int32(2), np.int64(4))),
+            ("k", np.int64(4)),
+            ("omega0", np.float64(2.5)),
+            ("scheme", np.str_("strassen")),
+        )
+        assert cache_key("serve:plan", None, params=plain) == cache_key(
+            "serve:plan", None, params=typed
+        )
+
     def test_distinct_values_still_miss_each_other(self):
         assert cache_key("t", None, x=np.float64(1.5)) != cache_key("t", None, x=2.5)
 

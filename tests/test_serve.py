@@ -10,16 +10,19 @@ memory-only cache, so the suite is hermetic and parallel-safe.
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 
 import pytest
 
+import repro.serve.http as http_mod
 from repro.core.bounds import (
     LG7,
     memory_independent_bound,
     parallel_io_bound,
     sequential_io_bound,
 )
+from repro.engine import pool as pool_runtime
 from repro.engine.builders import cached_estimate
 from repro.engine.cache import CACHE_NAMESPACE, EngineCache
 from repro.serve import (
@@ -33,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve.http import Request
 from repro.serve.jobs import MAX_K, MAX_SWEEP_POINTS
+from repro.topology import Topology
 
 
 @pytest.fixture
@@ -58,6 +62,13 @@ def _run_with_service(cache, scenario, workers=0):
 
 def _get(svc, target):
     return fetch_json("127.0.0.1", svc.port, target)
+
+
+def _request(target):
+    """A parsed GET for ``svc.handle`` (no sockets)."""
+    path, _, query = target.partition("?")
+    params = dict(item.split("=", 1) for item in query.split("&")) if query else {}
+    return Request(method="GET", target=target, path=path, query=params, headers={})
 
 
 class TestJobGrammar:
@@ -220,6 +231,29 @@ class TestEndpoints:
         status, body = _run_with_service(cache, scenario)
         assert status == 400 and "replication factor" in body["error"]
 
+    def test_plan_hit_builds_no_topology(self, cache, monkeypatch):
+        # the 400 check reads the spec's grammar; only the build constructs
+        torus = Topology.torus
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return torus(*args, **kwargs)
+
+        monkeypatch.setattr(Topology, "torus", spy)
+        request = _request("/plan?n=256&topology=torus:64x64")
+
+        async def scenario(svc):
+            first = await svc.handle(request)
+            after_build = len(calls)
+            second = await svc.handle(request)
+            return first, second, after_build
+
+        first, second, after_build = _run_with_service(cache, scenario)
+        assert first.status == second.status == 200
+        assert after_build == 1  # the one payload build
+        assert len(calls) == 1  # the hit constructed nothing
+
     def test_unknown_route_404(self, cache):
         async def scenario(svc):
             return await _get(svc, "/spectra")
@@ -321,13 +355,7 @@ class TestSingleFlight:
     def test_submit_dedup_is_exact(self, cache):
         """Driving handle() directly (no sockets): followers dedup exactly."""
         clients = 8
-        request = Request(
-            method="GET",
-            target="/expansion?scheme=strassen&k=2",
-            path="/expansion",
-            query={"scheme": "strassen", "k": "2"},
-            headers={},
-        )
+        request = _request("/expansion?scheme=strassen&k=2")
 
         async def scenario(svc):
             responses = await asyncio.gather(*(svc.handle(request) for _ in range(clients)))
@@ -361,6 +389,71 @@ class TestSingleFlight:
         assert _run_with_service(cache, scenario) == 0
 
 
+class TestStoredBodies:
+    """Hot keys answer with the body bytes encoded at build time."""
+
+    def test_hits_do_not_reencode(self, cache, monkeypatch):
+        calls = []
+        jsonable = http_mod.jsonable
+
+        def counting(obj):
+            calls.append(obj)
+            return jsonable(obj)
+
+        monkeypatch.setattr(http_mod, "jsonable", counting)
+        targets = ["/expansion?scheme=strassen&k=2", "/bounds?n=4096&M=256&p=64"]
+
+        async def scenario(svc):
+            for target in targets:
+                await svc.handle(_request(target))
+            built = len(calls)
+            for _ in range(5):
+                for target in targets:
+                    assert (await svc.handle(_request(target))).status == 200
+            return built
+
+        built = _run_with_service(cache, scenario)
+        assert built == len(targets)  # one top-level encode per build
+        assert len(calls) == built  # ten hits, zero encodes
+
+    def test_cold_hit_follower_and_pooled_bodies_are_identical(self, cache):
+        request = _request("/expansion?scheme=strassen&k=2")
+
+        async def leader_and_follower(svc):
+            cold, follower = await asyncio.gather(svc.handle(request), svc.handle(request))
+            hit = await svc.handle(request)
+            return cold, follower, hit, svc.deduped
+
+        async def pooled(svc):
+            first = await svc.handle(request)
+            return first, await svc.handle(request)
+
+        cold, follower, hit, deduped = _run_with_service(cache, leader_and_follower)
+        pooled_cold, pooled_hit = _run_with_service(EngineCache(disk=False), pooled, workers=2)
+        assert deduped == 1
+        bodies = {r.body for r in (cold, follower, hit, pooled_cold, pooled_hit)}
+        assert len(bodies) == 1
+        assert json.loads(bodies.pop())["method"].startswith("spectral")
+
+    def test_cone_only_nan_is_stored_as_null(self, cache):
+        request = _request("/expansion?scheme=strassen&k=5&policy=cone")
+
+        async def scenario(svc):
+            return [await svc.handle(request) for _ in range(2)]
+
+        cold, hit = _run_with_service(cache, scenario)
+        assert cold.body == hit.body
+        assert b"NaN" not in hit.body
+        assert json.loads(hit.body)["lower"] is None
+
+    def test_memory_tier_counts_body_bytes(self):
+        cache = EngineCache(disk=False, memory_bytes=1 << 20)
+        job = parse_job("bounds", {})
+        body = run_job_inline(job, cache)
+        assert isinstance(body, bytes)
+        assert cache.info()["memory"]["bytes"] >= len(body)
+
+
 class TestWorkerPool:
     def test_process_pool_merges_worker_stats(self, tmp_path):
         cache = EngineCache(tmp_path / "serve-cache")
@@ -375,6 +468,23 @@ class TestWorkerPool:
         # the worker's counter delta was merged into the parent's stats
         assert info["stats"]["builds"] >= 1
         assert info["service"]["workers"] == 1
+
+    def test_bounds_never_ships_to_the_pool(self, cache):
+        def shipped():
+            stats = pool_runtime.pool_stats_snapshot()
+            return stats["tasks_dispatched"] + stats["serial_tasks"]
+
+        async def scenario(svc):
+            before = shipped()
+            status, _ = await _get(svc, "/bounds?n=4096&M=256&p=64")
+            after_bounds = shipped()
+            await _get(svc, "/expansion?scheme=strassen&k=1")
+            return status, after_bounds - before, shipped() - after_bounds
+
+        status, bounds_shipped, expansion_shipped = _run_with_service(cache, scenario, workers=2)
+        assert status == 200
+        assert bounds_shipped == 0  # closed form: answered in the thread executor
+        assert expansion_shipped == 1  # a build still rides the pool
 
 
 class TestCliWiring:
@@ -412,5 +522,5 @@ class TestCliWiring:
         first = run_job_inline(job, cache)
         builds_after_first = cache.stats.builds
         second = run_job_inline(job, cache)
-        assert first == second
+        assert first is second  # the stored body itself
         assert builds_after_first == cache.stats.builds  # warm path: no rebuild
