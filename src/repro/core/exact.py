@@ -12,35 +12,35 @@ This module rebuilds the machinery around four composable ideas:
   comparisons over the edge list.
 
 * **Incremental (Gray-style) enumeration** — subsets are never re-scored
-  from scratch.  The vectorized kernel builds boundary tables with the
+  from scratch.  Each leaf of the search builds its boundary table with the
   binary-reflected doubling recurrence (each doubling step flips exactly one
   vertex into every previously enumerated subset — the batched form of a
-  Gray-code walk, costing O(1) amortized words per subset), and prunes with
-  the branch-and-bound test ``boundary > d·|U|·h_best ⇒ skip``.
+  Gray-code walk, costing O(1) amortized words per subset), and keeps only
+  the subsets that pass ``boundary <= floor(h_best·d·|U|) + 1``.
 
 * **Prefix-sharded parallel search** — the subset space splits into
-  prefix-fixed spans (high vertex bits fixed, low bits enumerated by the
-  kernel).  Spans are independent, so they fan out over a ``spawn``
-  process pool with a shared running minimum for cross-shard pruning; the
-  merge is a deterministic lexicographic ``(h, mask)`` reduction, so results
-  are identical for every ``jobs`` value.
+  prefix-fixed spans (the vertices ``>= b = min(n, 16)`` fixed; the search
+  enters only the branches whose prefixes meet its span).  Spans are
+  independent, so they fan out over a ``spawn`` process pool with a shared
+  running minimum for cross-shard pruning; the merge is a deterministic
+  lexicographic ``(h, mask)`` reduction, so results are identical for
+  every ``jobs`` value.
 
-* **Size-aware branch-and-bound** — one sound bound prunes in both
-  kernels.  Let ``I`` be a decided-in set (``k = |I|``), ``O`` a
-  decided-out set and ``F`` the free vertices, with ``a_v = |N(v)∩I|`` and
-  ``o_v = |N(v)∩O|`` for ``v ∈ F``.  Every ``U = I ∪ S`` with ``S ⊆ F``,
-  ``|S| = s`` has boundary ``cut(I, O) + Σ_{v∈F} a_v + Σ_{v∈S} (o_v − a_v)
-  + e(S, F∖S)``, and the last term is ``≥ 0``; so it is at least
-  ``cut(I, O) + Σ_F a_v`` plus the ``s`` smallest ``o_v − a_v``.  When no
-  ``s ≤ min(|F|, limit − k)`` meets the integer threshold
-  ``floor(h_best·d·(k+s)) + 1`` (the +1 keeps exact ties), no subset under
-  the node can tie or beat ``h_best``: skipping it changes no candidate,
-  and ``(h, mask)`` stays bit-identical.  The numpy kernel applies it once
-  per prefix (``I = P``, ``O = H∖P``, ``F`` the low block) before the
-  ``2^b`` sweep.  The native kernel applies it at every node of a
-  depth-first search that decides vertices ``n−1`` down to
-  ``w = min(b, 8)`` and sweeps only the ``2^w`` subsets under each
-  surviving leaf.
+* **Size-aware branch-and-bound** — both kernels run one depth-first
+  search and prune it with one sound bound.  Let ``I`` be a decided-in
+  set (``k = |I|``), ``O`` a decided-out set and ``F`` the free vertices,
+  with ``a_v = |N(v)∩I|`` and ``o_v = |N(v)∩O|`` for ``v ∈ F``.  Every
+  ``U = I ∪ S`` with ``S ⊆ F``, ``|S| = s`` has boundary ``cut(I, O) +
+  Σ_{v∈F} a_v + Σ_{v∈S} (o_v − a_v) + e(S, F∖S)``, and the last term is
+  ``≥ 0``; so it is at least ``cut(I, O) + Σ_F a_v`` plus the ``s``
+  smallest ``o_v − a_v``.  When no ``s ≤ min(|F|, limit − k)`` meets the
+  integer threshold ``floor(h_best·d·(k+s)) + 1`` (the +1 keeps exact
+  ties), no subset under the node can tie or beat ``h_best``: skipping it
+  changes no candidate, and ``(h, mask)`` stays bit-identical.  The
+  search decides vertices ``n−1`` down to ``w = min(b, 8)``, out before
+  in, applies the bound at every node and sweeps only the ``2^w`` subsets
+  under each surviving leaf: in C in the native kernel, in numpy in
+  :func:`_scan_span`.
 
 Exact ``h_s`` additionally gets a *size-restricted combinatorial walk*: only
 the ``C(n, ≤s)`` subsets of size at most ``s`` are visited (Gosper
@@ -58,12 +58,12 @@ is set, everything silently falls back to the numpy bitset kernels — the
 native path is a pure accelerator, never a dependency, and its ``(h, mask)``
 results are bit-identical to the bitset backend's for every ``jobs`` value.
 
-Together these lift the exactly-solvable regime from 22 (seed) to 28
-(numpy kernels) to :data:`DEFAULT_EXACT_LIMIT` = 32 vertices with the
-native kernel (override with the ``REPRO_EXACT_LIMIT`` environment variable
-or the ``limit=`` parameter).  All kernels return results bit-identical to
-the seed enumerator: the same ``h`` float and the *smallest* minimizing
-subset mask.
+Together these lift the exactly-solvable regime from 22 (seed) to
+:data:`DEFAULT_EXACT_LIMIT` = 32 vertices on either backend (override with
+the ``REPRO_EXACT_LIMIT`` environment variable or the ``limit=``
+parameter).  All kernels return results bit-identical to the seed
+enumerator: the same ``h`` float and the *smallest* minimizing subset
+mask.
 """
 
 from __future__ import annotations
@@ -71,14 +71,19 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
+import operator
 import os
 from dataclasses import dataclass
-from typing import Any, Iterator
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from repro.cdag.graph import CDAG
 from repro.core import _native
+
+if TYPE_CHECKING:
+    from repro.engine.pool import SharedMinimum
 
 __all__ = [
     "DEFAULT_EXACT_LIMIT",
@@ -92,8 +97,8 @@ __all__ = [
 
 #: The policy-selected enumeration ceiling.  The 32-vertex circulant graph
 #: (2^32 subsets) solves in ~2 ms through the native kernel's depth-first
-#: branch-and-bound, one process on a 2-core x86-64 host; the numpy fallback
-#: handles the same space, just slower (raise/lower via REPRO_EXACT_LIMIT for
+#: branch-and-bound and in ~0.1 s through the numpy port of the same search,
+#: one process on a 2-core x86-64 host (raise/lower via REPRO_EXACT_LIMIT for
 #: the machine at hand).
 DEFAULT_EXACT_LIMIT = 32
 
@@ -123,15 +128,19 @@ def native_backend_available() -> bool:
     """True when the compiled C kernel can back ``backend="native"`` runs."""
     return _native.native_available()
 
-#: Low-block width: the vectorized kernel enumerates 2^_LOW_BITS subsets per
-#: prefix.  16 keeps every scratch table L2-resident while leaving ≥ 2^(n-16)
-#: prefixes to shard across processes.
+#: Prefix width: spans split the subset space by fixing the vertices
+#: ``>= b = min(n, _LOW_BITS)`` (bit ``j`` of a prefix is vertex ``b + j``),
+#: which leaves 2^(n-16) prefixes to shard across processes.
 _LOW_BITS = 16
 
-#: Leaf width of the native kernel's branch-and-bound: it decides vertices
-#: down to ``w = min(b, _LEAF_BITS)`` and sweeps the ``2^w`` subsets of the
-#: vertices below ``w`` in one doubling pass.
+#: Leaf width of the branch-and-bound: both kernels decide vertices down to
+#: ``w = min(b, _LEAF_BITS)`` and sweep the ``2^w`` subsets of the vertices
+#: below ``w`` in one doubling pass.
 _LEAF_BITS = 8
+
+#: Threshold ceiling, as ``THR_CLIP`` in ``exactscan.c``: it lies above every
+#: boundary, so a clipped threshold (an infinite cap) accepts every subset.
+_THR_CLIP = 1 << 28
 
 
 def _ints_from_rows(rows: np.ndarray) -> list[int]:
@@ -161,7 +170,7 @@ def _mask_to_bool(mask: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# the vectorized prefix-sharded kernel                                    #
+# the depth-first branch-and-bound (numpy kernel)                         #
 # ---------------------------------------------------------------------- #
 
 
@@ -193,32 +202,40 @@ def _low_tables(adj: list[int], deg: list[int], width: int) -> tuple[np.ndarray,
     return sizes, cut
 
 
-class _ScanCtx:
-    """Precomputed tables for one graph's full subset scan.
+@dataclass(frozen=True)
+class _SearchCtx:
+    """What a span scan reads, for either kernel (built once per process).
 
-    The low block covers vertices ``0..b-1``; its per-subset size / internal
-    cut tables are built once by the doubling recurrence and shared across
-    every prefix (and, in parallel runs, rebuilt once per worker).
+    Both kernels decide vertices ``n-1 .. w`` by branch-and-bound and sweep
+    the ``2^w`` subsets of vertices ``0..w-1`` at each surviving leaf from
+    the leaf's size / internal cut tables.  Prefixes number the vertices
+    ``>= b``.
     """
 
-    def __init__(self, adj: list[int], deg: list[int], d: int, n: int, limit: int) -> None:
-        self.d = d
-        self.limit = limit
-        self.b = b = min(n, _LOW_BITS)
-        self.low_sizes, self.low_cut = _low_tables(adj, deg, b)
-        # High side (vertices b..n-1): per-vertex degree, adjacency among the
-        # high vertices, and the bit matrix of edges into the low block.
-        nh = n - b
-        self.high_deg = [deg[b + j] for j in range(nh)]
-        self.high_adj = [adj[b + j] >> b for j in range(nh)]
-        rows_low = np.zeros((nh, b), dtype=np.int32)
-        for j in range(nh):
-            row = adj[b + j]
-            for u in range(b):
-                rows_low[j, u] = (row >> u) & 1
-        self.rows_low = rows_low
-        # |N(v) ∩ H| per low vertex v, for the prefix bound in _scan_span.
-        self.low_high_deg = rows_low.sum(axis=0, dtype=np.int32)
+    n: int
+    b: int
+    w: int
+    limit: int
+    d: int
+    adj: list[int]  # per-vertex neighbourhood as a Python int (any n)
+    low_cut: np.ndarray  # (2^w,) int32: vol(J) - 2 e(J)
+    low_sizes: np.ndarray  # (2^w,) uint8: |J|
+
+
+def _search_ctx(adj: list[int], deg: list[int], d: int, n: int, limit: int) -> _SearchCtx:
+    b = min(n, _LOW_BITS)
+    w = min(b, _LEAF_BITS)
+    sizes, cut = _low_tables(adj, deg, w)
+    return _SearchCtx(
+        n=n,
+        b=b,
+        w=w,
+        limit=limit,
+        d=d,
+        adj=adj,
+        low_cut=cut,
+        low_sizes=sizes.astype(np.uint8),
+    )
 
 
 def _n_prefixes(n: int) -> int:
@@ -239,118 +256,79 @@ def _seed_singletons(deg: list[int], d: int) -> tuple[float, int]:
 
 
 def _scan_span(
-    ctx: _ScanCtx,
+    ctx: _SearchCtx,
     p_lo: int,
     p_hi: int,
     best: tuple[float, int],
-    shared: Any = None,
+    shared: SharedMinimum | None = None,
 ) -> tuple[float, int]:
     """Scan prefixes ``[p_lo, p_hi)``; returns the lexicographic best
     ``(h, mask)`` including the incoming ``best``.
 
-    ``shared`` is an optional cross-process running minimum (a
-    ``multiprocessing.Value``): it tightens the pruning threshold but never
-    affects which candidate wins — the final reduction is by ``(h, mask)``.
+    The same search as ``repro_exact_scan`` in ``exactscan.c`` (its header
+    states the node state, the bound and the leaf sweep), with each leaf's
+    ``2^w`` subsets swept in numpy.  ``shared`` is an optional cross-process
+    running minimum: it tightens the pruning threshold but never affects
+    which candidate wins — the final reduction is by ``(h, mask)``.
     """
-    b, d, limit = ctx.b, ctx.d, ctx.limit
-    nlow = 1 << b
-    sizesL = ctx.low_sizes
-    cutL = ctx.low_cut
-    low_high_deg = ctx.low_high_deg
+    n, b, w, limit, d = ctx.n, ctx.b, ctx.w, ctx.limit, ctx.d
+    low_cut = ctx.low_cut.astype(np.int64)
+    sizes = ctx.low_sizes.astype(np.int64)
+    # v's neighbours below v: the free vertices a decision on v updates
+    below = [[u for u in range(v) if (ctx.adj[v] >> u) & 1] for v in range(n)]
+    a = [0] * n  # |N(v) ∩ I| per free vertex v
+    o = [0] * n  # |N(v) ∩ O| per free vertex v
+    # T[J] = base - 2 Σ_{v∈J} a_v over the leaf subsets J, built by the
+    # doubling pass: level v writes T[2^v + i] = T[i] - 2 a_v.
+    T = np.empty(1 << w, dtype=np.int64)
+    levels = [(T[: 1 << v], T[1 << v : 2 << v]) for v in range(w)]
     best_r, best_m = best
-    scratch_s = np.empty(nlow, dtype=np.int32)
-    scratch_b = np.empty(nlow, dtype=np.int32)
-    # Integer pruning thresholds per prefix popcount, rebuilt when the
-    # running minimum improves: a subset survives iff
-    # boundary <= floor(h_best * d * |U|) + 1 — the +1 keeps exact ties (the
-    # seed witness may sit at a larger mask than a tied candidate), and the
-    # exact division below refilters the slack.
-    thr: dict[int, np.ndarray] = {}
-    thr_for = math.nan
+    h_cap = math.nan  # the cap behind thr; NaN: none built yet
+    thr: list[int] = []
+    rows: dict[int, np.ndarray] = {}  # thr[k + |J|] over the leaf, per k
 
-    def _threshold(size_p: int, h_cap: float) -> np.ndarray:
-        if math.isinf(h_cap):
-            # No running minimum yet: every boundary survives.  (inf * |U|
-            # would be inf * 0 = NaN at the empty low subset.)
-            t = np.full(nlow, 2**31 - 1, dtype=np.int32)
-        else:
-            t = np.floor(h_cap * d * (size_p + sizesL.astype(np.float64))) + 1.0
-            t = np.minimum(t, 2**31 - 1).astype(np.int32)
-        over = np.flatnonzero(sizesL > limit - size_p)
-        t[over] = -1
-        if size_p == 0:
-            t[0] = -1  # the empty set
-        return t
+    def refresh_cap() -> None:
+        # Pick up a tighter running minimum (ours or another process's).
+        nonlocal h_cap, thr
+        cap = best_r if shared is None else min(best_r, shared.value)
+        if cap == h_cap:
+            return
+        h_cap = cap
+        # floor(h_cap·d·s) + 1 by total size s; -1 for the empty set and
+        # past the limit.  An infinite cap clips (no floor of inf).
+        thr = [-1] * (n + 1)
+        for s in range(1, min(limit, n) + 1):
+            t = cap * d * s
+            thr[s] = math.floor(t) + 1 if t < _THR_CLIP else _THR_CLIP
+        rows.clear()
 
-    for p in range(p_lo, p_hi):
-        js = []
-        pp = p
-        while pp:
-            js.append((pp & -pp).bit_length() - 1)
-            pp &= pp - 1
-        size_p = len(js)
-        if size_p > limit:
-            continue
-        h_cap = best_r
-        if shared is not None:
-            h_cap = min(h_cap, shared.value)
-        if h_cap != thr_for:
-            thr.clear()
-            thr_for = h_cap
-            # floor(h_cap·d·s) + 1 by total size s = 0..limit (-1: the empty set)
-            thr_total = np.floor(h_cap * d * np.arange(1, limit + 1)) + 1.0
-            thr_total = np.concatenate(([-1.0], thr_total))
-        if js:
-            base_p = sum(ctx.high_deg[j] for j in js)
-            for j in js:
-                base_p -= 2 * (ctx.high_adj[j] & (p & ((1 << j) - 1))).bit_count()
-            wv = ctx.rows_low[js].sum(axis=0, dtype=np.int32)
-            # The size-aware bound (module docstring): a U under P with s
-            # low vertices cuts at least LB(s) = base_p plus the s smallest
-            # δ_v = |N(v)∩(H∖P)| − |N(v)∩P|; skip P when no s meets
-            # thr_total[|P| + s].  Every LB(s) is at least base_p + Σ min(δ, 0)
-            # and the threshold rises with s, so that sum against the
-            # largest reachable threshold rejects most prefixes first.
-            delta = low_high_deg - 2 * wv
-            cap = min(limit, size_p + b)
-            if base_p + int(np.minimum(delta, 0).sum()) > thr_total[cap]:
-                continue
-            if base_p > thr_total[size_p]:
-                lb = base_p + np.cumsum(np.sort(delta)[: cap - size_p])
-                if not (lb <= thr_total[size_p + 1 : cap + 1]).any():
-                    continue
-        else:
-            base_p = 0
-            wv = None
-        tint = thr.get(size_p)
-        if tint is None:
-            tint = thr[size_p] = _threshold(size_p, h_cap)
-        # Boundary of P ∪ L for every low subset L in one doubling sweep:
-        # cross(P, L) = Σ_{v∈L} |N(v) ∩ P| is a weighted subset sum, built by
-        # the same one-flip-per-step recurrence as the low tables.
-        S = scratch_s
-        S[0] = 0
-        if wv is not None:
-            half = 1
-            for v in range(b):
-                np.add(S[:half], wv[v], out=S[half : 2 * half])
-                half *= 2
-            np.multiply(S, -2, out=scratch_b)
-            scratch_b += cutL
-            if base_p:
-                scratch_b += base_p
-            bnd = scratch_b
-        else:
-            bnd = cutL
-        hits = np.flatnonzero(bnd <= tint)
+    def survives(t: int, k: int, base: int) -> bool:
+        # Does some s ≤ min(t, limit - k) have LB(s) ≤ thr[k + s]?  ``base``
+        # is cut(I, O) + Σ_{v<t} a_v.
+        if k > limit:
+            return False
+        if base <= thr[k]:
+            return True
+        deltas = sorted(map(operator.sub, o[:t], a[:t]))
+        return any(map(operator.le, accumulate(deltas, initial=base), thr[k : limit + 1]))
+
+    def leaf(in_mask: int, k: int, base: int) -> None:
+        # Every U = I ∪ J, J ⊆ {0..w-1}: bnd = base + low_cut[J] - 2 Σ_J a_v.
+        nonlocal best_r, best_m
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = np.array(thr)[k + sizes]
+        T[0] = base
+        for (lower, upper), av in zip(levels, a):
+            np.subtract(lower, 2 * av, out=upper)
+        bnd = low_cut + T
+        hits = (bnd <= row).nonzero()[0]
         if hits.size == 0:
-            continue
-        bb = bnd[hits].astype(np.int64)
-        ss = d * (size_p + sizesL[hits].astype(np.int64))
-        ratios = bb / ss
-        j = int(np.argmin(ratios))
+            return
+        ratios = bnd[hits] / (d * (k + sizes[hits]))
+        j = int(ratios.argmin())
         r = float(ratios[j])
-        m = (p << b) | int(hits[j])
+        m = in_mask | int(hits[j])
         if r < best_r:
             best_r, best_m = r, m
             if shared is not None and r < shared.value:
@@ -359,7 +337,89 @@ def _scan_span(
                         shared.value = r
         elif r == best_r and m < best_m:
             best_m = m
+
+    def search(t: int, in_mask: int, k: int, cut: int, free_a: int) -> None:
+        # The node with free vertices {0..t-1}: decide vertex t-1, out then in.
+        if t == w:
+            leaf(in_mask, k, cut + free_a)
+            return
+        v = t - 1
+        nbrs = below[v]
+        av, ov = a[v], o[v]
+        for take in (0, 1):
+            child = in_mask | (take << v)
+            if v >= b:
+                # the child's prefixes: [q, q + 2^(v-b)) with q its high bits
+                q = child >> b
+                if q >= p_hi or q + (1 << (v - b)) <= p_lo:
+                    continue
+            count = a if take else o
+            for u in nbrs:
+                count[u] += 1
+            cut2 = cut + (ov if take else av)
+            free2 = free_a - av + (len(nbrs) if take else 0)
+            refresh_cap()
+            if survives(v, k + take, cut2 + free2):
+                search(v, child, k + take, cut2, free2)
+            for u in nbrs:
+                count[u] -= 1
+
+    # The root's prefixes are [0, 2^(n-b)); it passes the bound trivially.
+    if p_lo < p_hi and p_lo < 1 << (n - b):
+        refresh_cap()
+        search(n, 0, 0, 0, 0)
     return best_r, best_m
+
+
+# ---------------------------------------------------------------------- #
+# the native (C kernel) scan                                              #
+# ---------------------------------------------------------------------- #
+
+
+def _native_scan_span(
+    ctx: _SearchCtx,
+    p_lo: int,
+    p_hi: int,
+    best: tuple[float, int],
+    shared: SharedMinimum | None = None,
+) -> tuple[float, int]:
+    """One C-kernel call over prefixes ``[p_lo, p_hi)`` — same contract as
+    :func:`_scan_span` (lexicographic best including the incoming seed).
+    The kernel packs each adjacency row into one uint64 word (n <= 64)."""
+    lib = _native.load()
+    if lib is None:  # pragma: no cover - callers gate on availability first
+        raise RuntimeError(
+            "native exact backend unavailable: "
+            f"{_native.native_build_error() or 'not loaded'}"
+        )
+    adj = np.array(ctx.adj, dtype=np.uint64)
+    out_r = ctypes.c_double(math.inf)
+    out_m = ctypes.c_uint64(0)
+    rc = lib.repro_exact_scan(
+        ctx.n,
+        ctx.b,
+        ctx.w,
+        ctx.limit,
+        ctx.d,
+        adj.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
+        ctx.low_cut.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
+        ctx.low_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+        p_lo,
+        p_hi,
+        best[0],
+        best[1],
+        None if shared is None else shared.addr(),
+        ctypes.byref(out_r),
+        ctypes.byref(out_m),
+    )
+    if rc != 0:
+        raise MemoryError("native exact scan could not allocate its scratch tables")
+    return float(out_r.value), int(out_m.value)
+
+
+#: The span kernel behind each full-scan backend; both take a
+#: :class:`_SearchCtx` and return bit-identical ``(h, mask)``.
+_SPAN_KERNELS = {"bitset": _scan_span, "native": _native_scan_span}
 
 
 # -- shared-pool span plumbing (spawn-safe module level) ----------------- #
@@ -376,10 +436,10 @@ def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
 
     The message carries only scalars plus the name of the shared-memory
     segment holding the cross-shard running minimum (first 8 bytes) and
-    the packed adjacency rows.  The scan context — the doubling tables the
-    kernel re-reads on every span — is installed once per (graph, backend)
-    through the pool's worker context store and reused across all of that
-    graph's spans, and across repeat scans of the same graph.
+    the packed adjacency rows.  The scan context — the leaf tables and
+    adjacency both kernels re-read on every span — is installed once per
+    graph through the pool's worker context store and reused across all of
+    that graph's spans, and across repeat scans of the same graph.
     """
     from repro.engine import pool as pool_runtime
 
@@ -388,21 +448,13 @@ def _pool_scan_span(msg: _SpanMsg) -> tuple[float, int]:
     shared = pool_runtime.SharedMinimum(shm.buf)
     try:
 
-        def _build() -> Any:
+        def _build() -> _SearchCtx:
             rows = np.frombuffer(shm.buf, dtype=np.uint64, count=n * w, offset=8)
             adj = _ints_from_rows(rows.reshape(n, w))
-            if backend == "native":
-                return _native_ctx(adj, list(deg), d, n, limit)
-            return _ScanCtx(adj, list(deg), d, n, limit)
+            return _search_ctx(adj, list(deg), d, n, limit)
 
         ctx = pool_runtime.worker_ctx(token, _build)
-        if backend == "native":
-            assert isinstance(ctx, _NativeCtx)
-            return _native_scan_span(
-                ctx, p_lo, p_hi, (math.inf, 0), shared_addr=shared.addr()
-            )
-        assert isinstance(ctx, _ScanCtx)
-        return _scan_span(ctx, p_lo, p_hi, (math.inf, 0), shared=shared)
+        return _SPAN_KERNELS[backend](ctx, p_lo, p_hi, (math.inf, 0), shared)
     finally:
         shared.close()
         try:
@@ -447,7 +499,7 @@ def _pooled_span_scan(
             for j in range(w):
                 rows[v, j] = (a >> (64 * j)) & _MASK64
         token = hashlib.sha256(
-            repr((backend, n, d, limit, tuple(deg))).encode() + rows.tobytes()
+            repr((n, d, limit, tuple(deg))).encode() + rows.tobytes()
         ).hexdigest()
         msgs: list[_SpanMsg] = [
             (shm.name, token, backend, n, w, d, limit, tuple(deg), lo, hi)
@@ -483,112 +535,17 @@ def _span_jobs(jobs: int, n_pref: int) -> int:
 
 
 def _full_scan(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
+    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int, backend: str
 ) -> tuple[float, int]:
-    """Minimum-ratio cut over every subset of size ``1..limit``."""
+    """Minimum-ratio cut over every subset of size ``1..limit``, on the
+    ``backend`` span kernel (``"bitset"`` or ``"native"``)."""
     best = _seed_singletons(deg, d)
     n_pref = _n_prefixes(n)
     jobs = _span_jobs(jobs, n_pref)
     if jobs == 1:
-        return _scan_span(_ScanCtx(adj, deg, d, n, limit), 0, n_pref, best)
-    return _pooled_span_scan("bitset", adj, deg, d, n, limit, n_pref, jobs, best)
-
-
-# ---------------------------------------------------------------------- #
-# the native (C kernel) scan                                              #
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _NativeCtx:
-    """The packed tables one native scan call reads (per process).
-
-    The C kernel decides vertices ``n-1 .. w`` by branch-and-bound and
-    sweeps only the ``2^w`` subsets of vertices ``0..w-1`` at each leaf, so
-    it needs the leaf's size / internal cut tables, not the ``2^b`` ones of
-    :class:`_ScanCtx`.  Prefixes still number the vertices ``>= b``.
-    """
-
-    n: int
-    b: int
-    w: int
-    limit: int
-    d: int
-    adj: np.ndarray  # (n,) uint64 — one packed word per vertex (n <= 64)
-    low_cut: np.ndarray  # (2^w,) int32: vol(J) - 2 e(J)
-    low_sizes: np.ndarray  # (2^w,) uint8: |J|
-
-
-def _native_ctx(adj: list[int], deg: list[int], d: int, n: int, limit: int) -> _NativeCtx:
-    if n > _NATIVE_MAX_VERTICES:
-        raise ValueError(
-            f"native backend packs rows into single uint64 words (n <= "
-            f"{_NATIVE_MAX_VERTICES}); got {n}"
-        )
-    b = min(n, _LOW_BITS)
-    w = min(b, _LEAF_BITS)
-    sizes, cut = _low_tables(adj, deg, w)
-    return _NativeCtx(
-        n=n,
-        b=b,
-        w=w,
-        limit=limit,
-        d=d,
-        adj=np.array(adj, dtype=np.uint64),
-        low_cut=cut,
-        low_sizes=sizes.astype(np.uint8),
-    )
-
-
-def _native_scan_span(
-    ctx: _NativeCtx,
-    p_lo: int,
-    p_hi: int,
-    best: tuple[float, int],
-    shared_addr: int | None = None,
-) -> tuple[float, int]:
-    """One C-kernel call over prefixes ``[p_lo, p_hi)`` — same contract as
-    :func:`_scan_span` (lexicographic best including the incoming seed)."""
-    lib = _native.load()
-    if lib is None:  # pragma: no cover - callers gate on availability first
-        raise RuntimeError(
-            "native exact backend unavailable: "
-            f"{_native.native_build_error() or 'not loaded'}"
-        )
-    out_r = ctypes.c_double(math.inf)
-    out_m = ctypes.c_uint64(0)
-    rc = lib.repro_exact_scan(
-        ctx.n,
-        ctx.b,
-        ctx.w,
-        ctx.limit,
-        ctx.d,
-        ctx.adj.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
-        ctx.low_cut.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)),
-        ctx.low_sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-        p_lo,
-        p_hi,
-        best[0],
-        best[1],
-        shared_addr,
-        ctypes.byref(out_r),
-        ctypes.byref(out_m),
-    )
-    if rc != 0:
-        raise MemoryError("native exact scan could not allocate its scratch tables")
-    return float(out_r.value), int(out_m.value)
-
-
-def _full_scan_native(
-    adj: list[int], deg: list[int], d: int, n: int, limit: int, jobs: int
-) -> tuple[float, int]:
-    """:func:`_full_scan` on the C kernel — identical spans, pool, and merge."""
-    best = _seed_singletons(deg, d)
-    n_pref = _n_prefixes(n)
-    jobs = _span_jobs(jobs, n_pref)
-    if jobs == 1:
-        return _native_scan_span(_native_ctx(adj, deg, d, n, limit), 0, n_pref, best)
-    return _pooled_span_scan("native", adj, deg, d, n, limit, n_pref, jobs, best)
+        ctx = _search_ctx(adj, deg, d, n, limit)
+        return _SPAN_KERNELS[backend](ctx, 0, n_pref, best)
+    return _pooled_span_scan(backend, adj, deg, d, n, limit, n_pref, jobs, best)
 
 
 # ---------------------------------------------------------------------- #
@@ -770,12 +727,11 @@ def exact_edge_expansion_v2(
             r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
         else:
             r, m = _bounded_scan(adj, deg, d, n, size_cap, (math.inf, 0))
-    elif backend == "native" or (
-        backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
-    ):
-        r, m = _full_scan_native(adj, deg, d, n, size_cap, jobs)
     else:
-        r, m = _full_scan(adj, deg, d, n, size_cap, jobs)
+        native = backend == "native" or (
+            backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
+        )
+        r, m = _full_scan(adj, deg, d, n, size_cap, jobs, "native" if native else "bitset")
     return r, _mask_to_bool(m, n)
 
 

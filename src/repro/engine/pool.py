@@ -18,9 +18,9 @@ per-task context messages instead of per-pool ``initializer=`` plumbing:
   the worker runs ``fn(item, cache=...)`` against its memoized
   :func:`worker_cache` for that root and returns the result together with
   its cache-counter delta;
-* exact scans ship a shared-memory handle whose scan tables (``_ScanCtx``
-  or ``_NativeCtx``) a worker installs once per graph (:func:`worker_ctx`)
-  and reuses across all of that graph's prefix spans.
+* exact scans ship a shared-memory handle whose scan context (the
+  ``_SearchCtx`` both exact kernels read) a worker installs once per graph
+  (:func:`worker_ctx`) and reuses across all of that graph's prefix spans.
 
 Transport is a duplex pipe per worker carrying pickle **protocol 5**
 frames with out-of-band buffers: contiguous arrays in a task or result are
@@ -699,14 +699,15 @@ def attach_shm(name: str) -> shared_memory.SharedMemory:
 class SharedMinimum:
     """A cross-process running minimum: one aligned float64 in shared memory.
 
-    Drop-in for the ``multiprocessing.Value("d")`` the ad-hoc exact pools
-    inherited into their workers: exposes ``.value`` and ``get_lock()``
-    (the ``_scan_span`` contract) plus :meth:`addr` for the native kernel's
-    compare-and-swap.  The lock is process-local, so cross-process updates
-    race benignly — that is safe here because every written value is a
-    genuine candidate ratio (the minimum only *tightens* pruning, never
-    decides the winner), aligned 8-byte stores do not tear, and the final
-    ``(h, mask)`` reduction never reads it.
+    The exact span kernels' running minimum: the numpy kernel
+    (``_scan_span``) reads ``.value`` whenever it refreshes its pruning
+    threshold and writes a better ratio under ``get_lock()``; the native
+    kernel compare-and-swaps the float64 at :meth:`addr`.  The lock is
+    process-local, so cross-process updates race benignly — that is safe
+    here because every written value is a genuine candidate ratio (the
+    minimum only *tightens* pruning, never decides the winner), aligned
+    8-byte stores do not tear, and the final ``(h, mask)`` reduction never
+    reads it.
     """
 
     def __init__(self, buf: memoryview, offset: int = 0) -> None:

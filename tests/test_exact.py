@@ -23,16 +23,14 @@ from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec1_graph, dec_graph
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
-    _ScanCtx,
     _bounded_walk_py,
     _full_scan,
-    _full_scan_native,
     _ints_from_rows,
     _mask_to_bool,
     _n_prefixes,
-    _native_ctx,
     _native_scan_span,
     _scan_span,
+    _search_ctx,
     effective_exact_limit,
     exact_edge_expansion_v2,
     exact_small_set_expansion_v2,
@@ -218,7 +216,6 @@ class TestMultiPrefixOracle:
     def test_full_scan_every_size_cap(self, backend, kind, n, seed):
         if backend == "native" and not native_backend_available():
             pytest.skip("native kernel unavailable")
-        scan = _full_scan_native if backend == "native" else _full_scan
         g = _multi_prefix_graph(kind, n, seed)
         if g is None or g.max_degree == 0:
             return
@@ -231,13 +228,13 @@ class TestMultiPrefixOracle:
             assert np.array_equal(m, m_ref), (kind, n, seed)
             for s in range(1, n + 1):
                 h_ref, m_ref = _oracle(g, max_size=s)
-                r, mask = scan(adj, deg, d, n, s, 1)
+                r, mask = _full_scan(adj, deg, d, n, s, 1, backend)
                 assert r == h_ref, (kind, n, seed, s)
                 assert np.array_equal(_mask_to_bool(mask, n), m_ref), (kind, n, seed, s)
 
 
 class TestNativeSpanSplits:
-    """Hypothesis: the native kernel honours its span ``[p_lo, p_hi)``.
+    """Hypothesis: both span kernels honour their span ``[p_lo, p_hi)``.
 
     Each span of a random split, seeded with ``(inf, 0)``, must return the
     lexicographic best over exactly its own prefixes, and the merge of the
@@ -245,7 +242,7 @@ class TestNativeSpanSplits:
     to 4 so the prefix space is ``2^(n-4)`` wide.
     """
 
-    @pytest.mark.skipif(not native_backend_available(), reason="native kernel unavailable")
+    @pytest.mark.parametrize("backend", ["bitset", "native"])
     @settings(max_examples=20, deadline=None)
     @given(
         kind=st.sampled_from(TestMultiPrefixOracle.KINDS),
@@ -253,7 +250,10 @@ class TestNativeSpanSplits:
         seed=st.integers(0, 2**31 - 1),
         data=st.data(),
     )
-    def test_span_merge_matches_full_scan(self, kind, n, seed, data):
+    def test_span_merge_matches_full_scan(self, backend, kind, n, seed, data):
+        if backend == "native" and not native_backend_available():
+            pytest.skip("native kernel unavailable")
+        span_scan = _native_scan_span if backend == "native" else _scan_span
         g = _multi_prefix_graph(kind, n, seed)
         if g is None or g.max_degree == 0:
             return
@@ -264,10 +264,10 @@ class TestNativeSpanSplits:
             n_pref = _n_prefixes(n)
             cuts = data.draw(st.sets(st.integers(1, n_pref - 1), max_size=6))
             edges = [0, *sorted(cuts), n_pref]
-            ctx = _native_ctx(adj, deg, d, n, n // 2)
+            ctx = _search_ctx(adj, deg, d, n, n // 2)
             merged = (math.inf, 0)
             for lo, hi in zip(edges, edges[1:]):
-                got = _native_scan_span(ctx, lo, hi, (math.inf, 0))
+                got = span_scan(ctx, lo, hi, (math.inf, 0))
                 inside = ((masks >> 4) >= lo) & ((masks >> 4) < hi)
                 want = (math.inf, 0)
                 if inside.any():
@@ -275,7 +275,7 @@ class TestNativeSpanSplits:
                     want = (r, int(masks[inside][ratios[inside] == r].min()))
                 assert got == want, (kind, n, seed, lo, hi)
                 merged = min(merged, got)
-            assert merged == _full_scan_native(adj, deg, d, n, n // 2, 1)
+            assert merged == _full_scan(adj, deg, d, n, n // 2, 1, backend)
         h_ref, m_ref = _oracle(g)
         assert merged[0] == h_ref
         assert np.array_equal(_mask_to_bool(merged[1], n), m_ref)
@@ -288,7 +288,7 @@ class TestScanSpanInfiniteSeed:
     def test_no_runtime_warning_and_same_result(self):
         g = layered_circulant_cdag(18)
         adj, deg, d, n = _scalar_args(g)
-        ctx = _ScanCtx(adj, deg, d, n, n // 2)
+        ctx = _search_ctx(adj, deg, d, n, n // 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = _scan_span(ctx, 0, 1, (math.inf, 0))
