@@ -7,7 +7,10 @@ single-flight, an ``/expansion`` on a graph with h = 0, plus ``/bounds``,
 ``/sweep``, ``/plan`` and ``/healthz``) and one bad request
 (``/scaling?cs=0``, which must answer 400, not 500), then asks every job
 key of the mix again: each repeat must decode to the same body as the
-first answer, and the ``/cache/info`` hit counter must rise.  Checks every
+first answer, and the ``/cache/info`` hit counter must rise.  Then it
+checks the framing: two requests pipelined in one write on one keep-alive
+connection must be answered in order, and an HTTP/1.0 request without
+``connection: keep-alive`` must be answered and closed.  Checks every
 response plus the ``/cache/info`` counters.  Exits non-zero on any
 failure; prints one summary line on success, which also reports (without
 gating them) the seconds from process start to the first ``/healthz`` and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import signal
 import socket
@@ -107,6 +111,52 @@ async def hammer(port: int) -> dict:
     return info
 
 
+def raw_get(target: str, version: str = "HTTP/1.1") -> bytes:
+    return f"GET {target} {version}\r\nhost: 127.0.0.1\r\n\r\n".encode("latin-1")
+
+
+async def exchange(port: int, payload: bytes, count: int) -> tuple[list[tuple], bool]:
+    """Write ``payload`` in one write and read ``count`` responses.
+
+    Returns ``(status, connection header, JSON body)`` per response and
+    whether the server closed the socket within a second after the last.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        answers = []
+        for _ in range(count):
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), timeout=30)
+            lines = head.decode("latin-1").split("\r\n")
+            headers = {
+                name.strip().lower(): value.strip()
+                for name, _, value in (line.partition(":") for line in lines[1:] if line)
+            }
+            body = await reader.readexactly(int(headers["content-length"]))
+            answers.append((int(lines[0].split()[1]), headers["connection"], json.loads(body)))
+        try:
+            closed = await asyncio.wait_for(reader.read(), timeout=1.0) == b""
+        except asyncio.TimeoutError:
+            closed = False
+        return answers, closed
+    finally:
+        writer.close()
+
+
+async def framing(port: int) -> None:
+    """Pipelined requests answer in order; HTTP/1.0 closes by default."""
+    answers, _ = await exchange(port, raw_get(BOUNDS) + raw_get("/healthz"), 2)
+    (s1, _, bounds), (s2, _, health) = answers
+    if (s1, s2) != (200, 200) or bounds.get("p") != 64 or health != {"status": "ok"}:
+        raise SystemExit(f"pipelined requests answered out of order or wrong: {answers!r}")
+    answers, closed = await exchange(port, raw_get("/healthz", "HTTP/1.0"), 1)
+    if answers[0][:2] != (200, "close") or not closed:
+        raise SystemExit(
+            f"HTTP/1.0 request was not answered and closed: {answers!r} closed={closed}"
+        )
+
+
 async def cache_info(port: int) -> dict:
     status, info = await fetch_json("127.0.0.1", port, "/cache/info")
     if status != 200:
@@ -145,6 +195,7 @@ def main() -> int:
             first_bounds(port)
             bounds_s = time.monotonic() - start
             info = asyncio.run(hammer(port))
+            asyncio.run(framing(port))
         finally:
             proc.send_signal(signal.SIGINT)
             try:

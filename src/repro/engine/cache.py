@@ -275,14 +275,19 @@ class EngineCache:
     # decoded-object layer                                                 #
     # ------------------------------------------------------------------ #
 
-    def get_object(self, key: str) -> Any | None:
-        """In-process decoded object for ``key`` (counts a hit or a miss)."""
+    def get_object(self, key: str, *, count_miss: bool = True) -> Any | None:
+        """In-process decoded object for ``key`` (counts a hit or a miss).
+
+        ``count_miss=False`` is for a lookup whose miss falls through to a
+        counted one (the serve stored-bytes lane): it counts hits only.
+        """
         with self._lock:
             if key in self._objects:
                 self._objects.move_to_end(key)
                 self.stats.hits += 1
                 return self._objects[key]
-            self.stats.misses += 1
+            if count_miss:
+                self.stats.misses += 1
             return None
 
     def put_object(self, key: str, obj: Any) -> None:

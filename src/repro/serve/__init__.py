@@ -8,7 +8,7 @@ deduplication and a worker pool for the CPU-bound builds.  See
 :mod:`repro.serve.jobs` for the endpoint grammar.
 """
 
-from repro.serve.http import Request, Response, fetch_json, json_response, read_request
+from repro.serve.http import Request, Response, fetch_json, json_response, parse_request
 from repro.serve.jobs import (
     JOB_KINDS,
     Job,
@@ -30,7 +30,7 @@ __all__ = [
     "fetch_json",
     "json_response",
     "parse_job",
-    "read_request",
+    "parse_request",
     "run",
     "run_job_inline",
     "run_job_pooled",

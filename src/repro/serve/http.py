@@ -1,14 +1,19 @@
-"""Minimal HTTP/1.1 framing over asyncio streams (stdlib only).
+"""Minimal HTTP/1.1 framing over a connection's byte buffer (stdlib only).
 
 The serving layer deliberately avoids a web framework: the container the
 engine ships in has numpy/scipy and nothing else, and the protocol surface
 it needs is tiny — GET requests with query strings, JSON responses, and
 keep-alive so load tests measure the engine rather than TCP handshakes.
-This module owns exactly that framing; routing and the worker pool live in
+This module owns exactly that framing: :func:`parse_request` is a
+synchronous parser that takes one complete request off the front of a
+connection's buffer, so one socket read can carry several pipelined
+requests and a request may arrive in any number of reads.  The
+per-connection ``asyncio.Protocol``, routing and the worker pool live in
 :mod:`repro.serve.service`.
 
 Everything here is strict about limits (request-line/header/body caps) so
-one misbehaving client cannot balloon the event loop's memory, and strict
+one misbehaving client cannot balloon the event loop's memory — the caps
+hold on a partial head too, not only once it is complete — and strict
 about JSON (payloads route through :func:`repro.util.jsonutil.jsonable`
 with ``allow_nan=False`` — the same RC301 invariant every report emitter
 obeys; a cone-only estimate's NaN lower bound serializes as ``null``).
@@ -19,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
@@ -31,10 +37,11 @@ __all__ = [
     "fetch_json",
     "json_body",
     "json_response",
-    "read_request",
+    "parse_request",
 ]
 
-#: Framing caps: one request line / header line, total header count, body.
+#: Framing caps: one request line / header line (CRLF included), total
+#: header count, body.
 MAX_LINE_BYTES = 8192
 MAX_HEADERS = 64
 MAX_BODY_BYTES = 1 << 20
@@ -58,61 +65,82 @@ class HttpError(Exception):
 
 @dataclass(frozen=True)
 class Request:
-    """One parsed request: method, split target, lowercased headers."""
+    """One parsed request: method, raw target, lowercased headers.
+
+    ``path`` and ``query`` are split off the target on first use, so a
+    request answered from the raw target alone never parses its query.
+    """
 
     method: str
     target: str
-    path: str
-    query: dict[str, str]
-    headers: dict[str, str]
+    headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
+
+    @cached_property
+    def path(self) -> str:
+        return urlsplit(self.target).path
+
+    @cached_property
+    def query(self) -> dict[str, str]:
+        """Single-valued query parameters (last wins), which is all the
+        engine's parameter grammar needs."""
+        return dict(parse_qsl(urlsplit(self.target).query, keep_blank_values=True))
 
     @property
     def keep_alive(self) -> bool:
-        """HTTP/1.1 default keep-alive unless the client asked to close."""
-        return self.headers.get("connection", "").lower() != "close"
+        """HTTP/1.1 keeps the connection unless the client asked to close;
+        HTTP/1.0 closes it unless the client asked to keep it."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    try:
-        line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return b""  # clean EOF between keep-alive requests
-        raise HttpError("connection closed mid-request") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise HttpError("request line exceeds the line cap") from exc
-    if len(line) > MAX_LINE_BYTES:
-        raise HttpError(f"line longer than {MAX_LINE_BYTES} bytes")
-    return line
+def _check_lines(lines: list[Any], partial: bool) -> None:
+    """Enforce the line and header caps on a head split at CRLF.
 
-
-async def read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; None on a clean EOF.
-
-    Raises :class:`HttpError` on malformed framing — the caller answers
-    400 and closes.  Query values are single-valued (last wins), which is
-    all the engine's parameter grammar needs.
+    With ``partial`` the last entry is a line still being received: it
+    fails as soon as it can no longer fit, and the count excludes it.
     """
-    raw = await _read_line(reader)
-    if not raw:
+    if len(lines) - 1 - partial > MAX_HEADERS:
+        raise HttpError(f"more than {MAX_HEADERS} headers")
+    complete = lines[:-1] if partial else lines
+    if max(map(len, complete), default=0) + 2 > MAX_LINE_BYTES or (
+        partial and len(lines[-1]) >= MAX_LINE_BYTES
+    ):
+        raise HttpError(f"line longer than {MAX_LINE_BYTES} bytes")
+
+
+def parse_request(buf: bytearray) -> Request | None:
+    """Take one complete request off the front of ``buf``.
+
+    Returns None, consuming nothing, while the request is incomplete.
+    Raises :class:`HttpError` on malformed or over-cap framing — the caller
+    answers 400 and closes.  A ``content-length`` body is consumed with
+    its request, so the next pipelined request starts at the buffer's
+    front.
+    """
+    end = buf.find(b"\r\n\r\n")
+    if end < 0:
+        if len(buf) >= MAX_LINE_BYTES:  # below that no cap can be exceeded yet
+            _check_lines(buf.split(b"\r\n"), partial=True)
         return None
-    parts = raw.decode("latin-1").rstrip("\r\n").split()
+    lines = buf[:end].decode("latin-1").split("\r\n")
+    if end + 2 > MAX_LINE_BYTES or len(lines) > MAX_HEADERS:
+        _check_lines(lines, partial=False)
+    parts = lines[0].split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HttpError("malformed request line")
-    method, target, _version = parts
+    method, target, version = parts
     headers: dict[str, str] = {}
-    for _ in range(MAX_HEADERS + 1):
-        line = await _read_line(reader)
-        if not line or line == b"\r\n":
-            break
-        name, sep, value = line.decode("latin-1").rstrip("\r\n").partition(":")
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
         if not sep:
             raise HttpError("malformed header line")
         headers[name.strip().lower()] = value.strip()
-    else:
-        raise HttpError(f"more than {MAX_HEADERS} headers")
-    body = b""
+    start = end + 4
+    stop = start
     if "content-length" in headers:
         try:
             length = int(headers["content-length"])
@@ -120,21 +148,12 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             raise HttpError("non-integer content-length") from exc
         if not 0 <= length <= MAX_BODY_BYTES:
             raise HttpError(f"body outside [0, {MAX_BODY_BYTES}] bytes")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise HttpError("connection closed mid-body") from exc
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
-    return Request(
-        method=method.upper(),
-        target=target,
-        path=split.path,
-        query=query,
-        headers=headers,
-        body=body,
-    )
+        stop += length
+        if len(buf) < stop:
+            return None
+    body = bytes(buf[start:stop])
+    del buf[:stop]
+    return Request(method.upper(), target, headers, body, version)
 
 
 @dataclass(frozen=True)

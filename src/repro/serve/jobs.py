@@ -16,8 +16,9 @@ with the worker's cache-counter delta so the parent can
 :meth:`~repro.engine.cache.EngineCache.merge_stats`.
 
 Both return the job's strict-JSON response body as ``bytes``: the payload
-dict is encoded once, when it is built, and the memory tier keeps the
-encoded body, so a hot key is answered without re-encoding anything.
+dict is encoded once, when it is built, and a memory tier keeps the
+encoded body (in the service, a body tier apart from the artifacts), so a
+hot key is answered without re-encoding anything.
 """
 
 from __future__ import annotations
@@ -352,13 +353,15 @@ def build_payload(job: Job, cache: EngineCache) -> dict[str, Any]:
     return _BUILDERS[job.kind](job.as_dict(), cache)
 
 
-def run_job_inline(job: Job, cache: EngineCache) -> bytes:
+def run_job_inline(job: Job, cache: EngineCache, bodies: EngineCache | None = None) -> bytes:
     """Thread-executor path: single-flight build of the encoded response body.
 
-    The memory tier holds the body bytes, so every later hit on the key
-    returns them as they are.
+    The payload's artifacts come from ``cache``; the body bytes are kept in
+    the memory tier of ``bodies`` (the service's body tier; default
+    ``cache``), so every later hit on the key returns them as they are.
     """
-    return cache.memoize(job.key(), lambda: json_body(build_payload(job, cache)))
+    store = cache if bodies is None else bodies
+    return store.memoize(job.key(), lambda: json_body(build_payload(job, cache)))
 
 
 def run_job_pooled(job: Job, root: str | None) -> tuple[bytes, dict[str, int]]:

@@ -19,10 +19,27 @@ it is dispatched to an executor:
   never worth a pipe round trip: it runs in that thread executor against
   the service's own cache in both modes.
 
-Jobs answer with their strict-JSON body as ``bytes``, encoded once when
-the payload is built (:func:`~repro.serve.jobs.run_job_inline`); the
-memory tier holds those bytes, so a hot key is answered as stored, with no
-copy and no re-encoding, and the tier's byte cap counts body bytes.
+Framing: each connection is one :class:`_Connection` protocol.  Bytes go
+into a buffer, and :func:`~repro.serve.http.parse_request` takes complete
+requests off its front, so pipelined requests are answered in order.
+
+Two tiers: engine artifacts (CDAGs, spectra, estimates) live in
+``cache`` under the ``--memory-items`` LRU; jobs answer with their
+strict-JSON body as ``bytes``, encoded once when the payload is built
+(:func:`~repro.serve.jobs.run_job_inline`), and those bodies live in
+``body_cache``, a second, memory-only ``EngineCache`` with a share of the
+``--memory-mb`` budget.  A cold-tail artifact therefore never evicts a
+hot answer, and a hot key is answered as stored, with no copy and no
+re-encoding.
+
+Stored-bytes lane: the service memoises each job target it has parsed
+(raw target → ``(key, job)``, at most ``_JOB_MEMO_ITEMS`` entries, cleared
+when full).  When a GET's raw target is memoised, its key is not in
+flight and its body is in ``body_cache``, the connection writes the
+answer from the protocol callback itself — no task, no coroutine, no
+query parsing.  Every other request goes through the async
+:meth:`ExpansionService.handle` in one task, and the requests behind it
+on that connection wait in the buffer until it is answered.
 
 Single-flight: the loop keeps one future per in-flight job key.  N
 identical concurrent requests await the same future — exactly one build
@@ -31,10 +48,16 @@ Followers await through :func:`asyncio.shield` so one cancelled client
 cannot cancel the shared build under everyone else.
 
 Shared-state discipline (enforced tree-wide by checker RC403): an async
-handler may only touch the shared cache inside ``async with self._lock``.
+handler may only touch the shared caches inside ``async with self._lock``.
 The executor threads rely on the cache's own internal locks instead —
 RC403 scopes to coroutines, where a forgotten lock interleaves at every
-``await`` and corrupts LRU bookkeeping silently.
+``await`` and corrupts LRU bookkeeping silently.  The lane needs no
+asyncio lock: it is a plain callback on the loop thread, so no coroutine
+runs between its in-flight check and its body lookup, and no coroutine
+holds ``self._lock`` across an ``await`` (every locked block here is
+await-free), so the lane never sees a half-done critical section.  The
+body lookup itself is atomic against executor threads through the
+cache's own lock.
 """
 
 from __future__ import annotations
@@ -46,7 +69,7 @@ from dataclasses import dataclass
 
 from repro.engine import pool as pool_runtime
 from repro.engine.cache import EngineCache, default_cache_root
-from repro.serve.http import HttpError, Request, Response, json_response, read_request
+from repro.serve.http import HttpError, Request, Response, json_response, parse_request
 from repro.serve.jobs import (
     JOB_KINDS,
     Job,
@@ -59,6 +82,19 @@ __all__ = ["ServeConfig", "ExpansionService", "run"]
 
 #: Threads for the inline (workers == 0) executor.
 _INLINE_THREADS = 4
+
+#: Memoised job targets kept before the memo is cleared.
+_JOB_MEMO_ITEMS = 1024
+
+#: The body tier's share of ``memory_bytes`` is 1/_BODY_SHARE; artifacts
+#: keep the rest.  Bodies are small, so the tier's item cap only bounds it
+#: when ``memory_bytes`` is None.
+_BODY_SHARE = 4
+_BODY_ITEMS = 1 << 16
+
+#: Buffered bytes of pipelined requests after which a connection whose
+#: current request is still being answered stops reading.
+_PIPELINE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +115,8 @@ class ExpansionService:
 
     def __init__(self, config: ServeConfig, cache: EngineCache | None = None) -> None:
         self.config = config
+        budget = config.memory_bytes
+        body_bytes = None if budget is None else budget // _BODY_SHARE
         if cache is not None:
             self.cache = cache  # injected by tests/bench; caps are theirs
         else:
@@ -87,10 +125,13 @@ class ExpansionService:
                 root,
                 disk=config.disk,
                 memory_items=config.memory_items,
-                memory_bytes=config.memory_bytes,
+                memory_bytes=None if budget is None else budget - body_bytes,
             )
+        self.body_cache = EngineCache(disk=False, memory_items=_BODY_ITEMS, memory_bytes=body_bytes)
         self._lock = asyncio.Lock()  # guards _inflight and shared-cache access
         self._inflight: dict[str, asyncio.Future[bytes]] = {}
+        self._jobs: dict[str, tuple[str, Job]] = {}  # raw target -> (key, job)
+        self._connections: set[_Connection] = set()
         self._pool_root: str | None = None
         self._executor: concurrent.futures.Executor | None = None
         self._server: asyncio.Server | None = None
@@ -124,13 +165,16 @@ class ExpansionService:
             self._executor = concurrent.futures.ThreadPoolExecutor(
                 max_workers=_INLINE_THREADS, thread_name_prefix="serve"
             )
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            for conn in list(self._connections):
+                conn.close()
             await self._server.wait_closed()
             self._server = None
         async with self._lock:
@@ -150,38 +194,24 @@ class ExpansionService:
             await self._server.serve_forever()
 
     # ------------------------------------------------------------------ #
-    # connection handling                                                  #
+    # request handling                                                     #
     # ------------------------------------------------------------------ #
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    writer.write(
-                        json_response(400, {"error": exc.message}).encode(keep_alive=False)
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self.handle(request)
-                keep_alive = request.keep_alive and response.status < 500
-                writer.write(response.encode(keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+    def stored_body(self, request: Request) -> bytes | None:
+        """The stored-bytes lane: the body of a memoised, settled GET, or None.
+
+        Synchronous, for the protocol callback; a None sends the request
+        through :meth:`handle`, whose build then counts the one miss.
+        """
+        if request.method != "GET":
+            return None
+        entry = self._jobs.get(request.target)
+        if entry is None or entry[0] in self._inflight:
+            return None
+        body = self.body_cache.get_object(entry[0], count_miss=False)
+        if body is not None:
+            self.requests += 1
+        return body
 
     async def handle(self, request: Request) -> Response:
         """Route one request; exceptions become structured error responses."""
@@ -201,26 +231,42 @@ class ExpansionService:
     async def _route(self, request: Request) -> Response:
         if request.method != "GET":
             return json_response(405, {"error": f"method {request.method} not allowed"})
-        path = request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            return json_response(200, {"status": "ok"})
-        if path == "/cache/info":
-            async with self._lock:
-                info = self.cache.info()
-            info["service"] = {
-                "requests": self.requests,
-                "errors": self.errors,
-                "deduped": self.deduped,
-                "inflight": len(self._inflight),
-                "workers": self.config.workers,
-            }
-            info["pool"] = pool_runtime.pool_info()
-            return json_response(200, info)
-        kind = path.lstrip("/")
-        if kind not in JOB_KINDS:
-            return json_response(404, {"error": f"no route for {request.path!r}"})
-        job = parse_job(kind, request.query)
-        return Response(200, await self._submit(job.key(), job))
+        entry = self._jobs.get(request.target)
+        if entry is None:
+            path = request.path.rstrip("/") or "/"
+            if path == "/healthz":
+                return json_response(200, {"status": "ok"})
+            if path == "/cache/info":
+                return json_response(200, await self._info())
+            kind = path.lstrip("/")
+            if kind not in JOB_KINDS:
+                return json_response(404, {"error": f"no route for {request.path!r}"})
+            job = parse_job(kind, request.query)
+            if len(self._jobs) >= _JOB_MEMO_ITEMS:
+                self._jobs.clear()
+            entry = self._jobs[request.target] = (job.key(), job)
+        return Response(200, await self._submit(*entry))
+
+    async def _info(self) -> dict:
+        """``/cache/info``: ``stats`` sums both tiers, ``tiers`` splits them."""
+        async with self._lock:
+            info = self.cache.info()
+            bodies = self.body_cache.info()
+        tiers = {
+            "artifacts": {"memory": info["memory"], "stats": info["stats"]},
+            "bodies": {"memory": bodies["memory"], "stats": bodies["stats"]},
+        }
+        info["stats"] = {k: v + bodies["stats"][k] for k, v in info["stats"].items()}
+        info["tiers"] = tiers
+        info["service"] = {
+            "requests": self.requests,
+            "errors": self.errors,
+            "deduped": self.deduped,
+            "inflight": len(self._inflight),
+            "workers": self.config.workers,
+        }
+        info["pool"] = pool_runtime.pool_info()
+        return info
 
     # ------------------------------------------------------------------ #
     # single-flight dispatch                                               #
@@ -233,7 +279,9 @@ class ExpansionService:
             if fut is not None:
                 self.deduped += 1
             else:
-                cached = self.cache.get_object(key)
+                # A miss is counted once, by the build's own lookup
+                # (``memoize`` here or in the pool worker), not here too.
+                cached = self.body_cache.get_object(key, count_miss=False)
                 if cached is not None:
                     return cached  # immutable bytes: shared, not copied
                 fut = asyncio.ensure_future(self._dispatch(key, job))
@@ -251,15 +299,110 @@ class ExpansionService:
                 )
                 async with self._lock:
                     self.cache.merge_stats(delta)
-                    self.cache.put_object(key, body)
+                    self.body_cache.put_object(key, body)
             else:
                 body = await loop.run_in_executor(
-                    self._executor, run_job_inline, job, self.cache
+                    self._executor, run_job_inline, job, self.cache, self.body_cache
                 )
         finally:
             async with self._lock:
                 self._inflight.pop(key, None)
         return body
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: buffer, parse, answer in request order.
+
+    At most one request per connection is in :meth:`ExpansionService.handle`
+    at a time; requests behind it stay in the buffer.  Reading pauses
+    while that buffer outgrows ``_PIPELINE_BYTES`` behind a pending answer,
+    and answering pauses while the transport's write buffer is full.
+    """
+
+    _transport: asyncio.Transport  # set by connection_made, before any other call
+
+    def __init__(self, service: ExpansionService) -> None:
+        self._service = service
+        self._buffer = bytearray()
+        self._task: asyncio.Task[None] | None = None
+        self._write_paused = False
+        self._read_paused = False
+        self._eof = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        self._service._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._service._connections.discard(self)
+        if self._task is not None:
+            self._task.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._task is None and not self._write_paused:
+            self._answer_buffered()
+        elif len(self._buffer) > _PIPELINE_BYTES and not self._read_paused:
+            self._read_paused = True
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        # Keep the transport open for the answers still owed; the buffer's
+        # last complete request is answered before the connection closes.
+        self._eof = True
+        if self._task is None and not self._write_paused:
+            self._answer_buffered()
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._task is None:
+            self._answer_buffered()
+
+    def close(self) -> None:
+        self._transport.close()
+
+    def _answer_buffered(self) -> None:
+        """Answer buffered requests in order until one needs :meth:`handle`."""
+        transport = self._transport
+        if self._read_paused:
+            self._read_paused = False
+            transport.resume_reading()
+        while not (self._write_paused or transport.is_closing()):
+            try:
+                request = parse_request(self._buffer)
+            except HttpError as exc:
+                transport.write(json_response(400, {"error": exc.message}).encode(keep_alive=False))
+                transport.close()
+                return
+            if request is None:
+                if self._eof:
+                    transport.close()
+                return
+            body = self._service.stored_body(request)
+            if body is None:
+                self._task = asyncio.get_running_loop().create_task(self._answer(request))
+                return
+            self._respond(request, Response(200, body))
+
+    async def _answer(self, request: Request) -> None:
+        response = await self._service.handle(request)
+        self._task = None
+        if self._transport.is_closing():
+            return
+        self._respond(request, response)
+        if not self._write_paused:
+            self._answer_buffered()
+
+    def _respond(self, request: Request, response: Response) -> None:
+        keep_alive = request.keep_alive and response.status < 500
+        self._transport.write(response.encode(keep_alive=keep_alive))
+        if not keep_alive:
+            self._transport.close()
 
 
 def run(config: ServeConfig) -> int:
