@@ -55,16 +55,11 @@ if TYPE_CHECKING:
         sequential_io_upper,
         table1_rows,
     )
-    from repro.core.exact import (
-        exact_edge_expansion_v2,
-        exact_small_set_expansion_v2,
-    )
+    from repro.core.exact import exact_edge_expansion_v2
     from repro.core.expansion import (
         ExpansionEstimate,
         decode_cone_mask,
         estimate_expansion,
-        exact_edge_expansion,
-        exact_small_set_expansion,
         expansion_of_cut,
     )
     from repro.core.partition import best_partition_bound, partition_bound, segment_stats
@@ -126,10 +121,7 @@ __all__ = [
     "ExpansionEstimate",
     "decode_cone_mask",
     "estimate_expansion",
-    "exact_edge_expansion",
     "exact_edge_expansion_v2",
-    "exact_small_set_expansion",
-    "exact_small_set_expansion_v2",
     "expansion_of_cut",
     "best_partition_bound",
     "partition_bound",

@@ -11,7 +11,7 @@ checker makes that discipline structural:
 
 * **RC403** — inside an ``async def``, a call to a cache-touching method
   (``get_object``, ``put_object``, ``put_arrays``, ``count_build``,
-  ``memoize``, ``merge_stats``, ``reset_stats``, ``clear``) on a receiver
+  ``memoize``, ``merge_stats``, ``clear``) on a receiver
   whose expression mentions a cache must sit lexically inside a ``with`` /
   ``async with`` block whose context manager mentions a lock.  ``memoize``
   owns its locking but blocks on builds, so it belongs in an executor
@@ -42,7 +42,6 @@ CACHE_TOUCHING_METHODS = frozenset(
         "count_build",
         "memoize",
         "merge_stats",
-        "reset_stats",
         "clear",
     }
 )

@@ -20,18 +20,13 @@ if TYPE_CHECKING:
         table1_cell,
         table1_rows,
     )
-    from repro.core.exact import (
-        exact_edge_expansion_v2,
-        exact_small_set_expansion_v2,
-    )
+    from repro.core.exact import exact_edge_expansion_v2
     from repro.core.expansion import (
         ExpansionEstimate,
         claim_2_1_small_set_bound,
         decode_cone_mask,
         decode_cone_upper_bound,
         estimate_expansion,
-        exact_edge_expansion,
-        exact_small_set_expansion,
         expansion_of_cut,
         fiedler_sweep_cut,
         spectral_lower_bound,
@@ -47,7 +42,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "exact_edge_expansion_v2",
-    "exact_small_set_expansion_v2",
     "LG7",
     "Table1Cell",
     "latency_bound",
@@ -62,8 +56,6 @@ __all__ = [
     "decode_cone_mask",
     "decode_cone_upper_bound",
     "estimate_expansion",
-    "exact_edge_expansion",
-    "exact_small_set_expansion",
     "expansion_of_cut",
     "fiedler_sweep_cut",
     "spectral_lower_bound",

@@ -1,69 +1,51 @@
-"""Exact edge-expansion engine v2 — bitset kernels and a sharded subset search.
+"""Exact edge expansion — one branch-and-bound scan and one walk past the limit.
 
 The paper's ground truth for Lemma 4.3 / Corollary 4.4 is *exact* edge
-expansion (Eq. 4) and exact small-set expansion ``h_s`` (Eq. 5).  The seed
-enumerator materialized every subset mask and paid an O(E)-wide vectorized
-boundary comparison per subset, which capped exact solves at 22 vertices.
-This module rebuilds the machinery around four composable ideas:
+expansion (Eq. 4) and exact small-set expansion ``h_s`` (Eq. 5).
+:func:`exact_edge_expansion_v2` answers both, and dispatches on the
+enumeration limit alone (:func:`effective_exact_limit`, 32 by default;
+``REPRO_EXACT_LIMIT`` or ``limit=`` move it):
 
-* **Bitset-packed adjacency** — every vertex's undirected neighborhood is a
-  row of packed ``uint64`` words (:attr:`repro.cdag.graph.CDAG.adjacency_bits`),
-  so set intersections are word-ANDs + popcounts instead of fancy-indexed
-  comparisons over the edge list.
+* ``n <= limit`` — the branch-and-bound scan below, capped at
+  ``max_size`` for ``h_s`` and at ``n // 2`` for ``h``;
+* ``n > limit`` with ``max_size`` — the size-restricted walk
+  :func:`_bounded_walk_py`, which visits only the ``C(n, ≤s)`` subsets
+  (one incremental flip per step over arbitrary-width ints), as long as
+  that count stays within :data:`COMB_SUBSET_LIMIT`;
+* ``n > limit`` without ``max_size`` — an error.
 
-* **Incremental (Gray-style) enumeration** — subsets are never re-scored
-  from scratch.  Each leaf of the search builds its boundary table with the
-  binary-reflected doubling recurrence (each doubling step flips exactly one
-  vertex into every previously enumerated subset — the batched form of a
-  Gray-code walk, costing O(1) amortized words per subset), and keeps only
-  the subsets that pass ``boundary <= floor(h_best·d·|U|) + 1``.
+**The scan.** Every vertex's undirected neighbourhood is a packed bitset
+row (:attr:`repro.cdag.graph.CDAG.adjacency_bits`).  Both kernels run one
+depth-first search and prune it with one sound bound.  Let ``I`` be a
+decided-in set (``k = |I|``), ``O`` a decided-out set and ``F`` the free
+vertices, with ``a_v = |N(v)∩I|`` and ``o_v = |N(v)∩O|`` for ``v ∈ F``.
+Every ``U = I ∪ S`` with ``S ⊆ F``, ``|S| = s`` has boundary ``cut(I, O) +
+Σ_{v∈F} a_v + Σ_{v∈S} (o_v − a_v) + e(S, F∖S)``, and the last term is
+``≥ 0``; so it is at least ``cut(I, O) + Σ_F a_v`` plus the ``s``
+smallest ``o_v − a_v``.  When no ``s ≤ min(|F|, limit − k)`` meets the
+integer threshold ``floor(h_best·d·(k+s)) + 1`` (the +1 keeps exact
+ties), no subset under the node can tie or beat ``h_best``: skipping it
+changes no candidate, and ``(h, mask)`` stays bit-identical.  The search
+decides vertices ``n−1`` down to ``w = min(b, 8)``, out before in, applies
+the bound at every node and sweeps the ``2^w`` subsets under each
+surviving leaf with the doubling (batched Gray-code) recurrence.
 
-* **Prefix-sharded parallel search** — the subset space splits into
-  prefix-fixed spans (the vertices ``>= b = min(n, 16)`` fixed; the search
-  enters only the branches whose prefixes meet its span).  Spans are
-  independent, so they fan out over a ``spawn`` process pool with a shared
-  running minimum for cross-shard pruning; the merge is a deterministic
-  lexicographic ``(h, mask)`` reduction, so results are identical for
-  every ``jobs`` value.
-
-* **Size-aware branch-and-bound** — both kernels run one depth-first
-  search and prune it with one sound bound.  Let ``I`` be a decided-in
-  set (``k = |I|``), ``O`` a decided-out set and ``F`` the free vertices,
-  with ``a_v = |N(v)∩I|`` and ``o_v = |N(v)∩O|`` for ``v ∈ F``.  Every
-  ``U = I ∪ S`` with ``S ⊆ F``, ``|S| = s`` has boundary ``cut(I, O) +
-  Σ_{v∈F} a_v + Σ_{v∈S} (o_v − a_v) + e(S, F∖S)``, and the last term is
-  ``≥ 0``; so it is at least ``cut(I, O) + Σ_F a_v`` plus the ``s``
-  smallest ``o_v − a_v``.  When no ``s ≤ min(|F|, limit − k)`` meets the
-  integer threshold ``floor(h_best·d·(k+s)) + 1`` (the +1 keeps exact
-  ties), no subset under the node can tie or beat ``h_best``: skipping it
-  changes no candidate, and ``(h, mask)`` stays bit-identical.  The
-  search decides vertices ``n−1`` down to ``w = min(b, 8)``, out before
-  in, applies the bound at every node and sweeps only the ``2^w`` subsets
-  under each surviving leaf: in C in the native kernel, in numpy in
-  :func:`_scan_span`.
-
-Exact ``h_s`` additionally gets a *size-restricted combinatorial walk*: only
-the ``C(n, ≤s)`` subsets of size at most ``s`` are visited (Gosper
-successor + one incremental flip per step in the scalar backend), which
-makes ``h_s`` of a 40-vertex graph a few thousand evaluations instead of a
-``2^40`` enumeration.
-
-A fourth backend pushes the same scan to native speed: ``backend="native"``
-runs the prefix-sharded depth-first search inside a small C kernel
+The kernel is either native — ``repro_exact_scan`` in C
 (:mod:`repro.core._native`, one ``.c`` file compiled with the system
-compiler at first use and loaded through ``ctypes``).  It is auto-selected
-whenever the compiled library is importable and the graph fits in packed
-single-word rows (n ≤ 64); when the compiler is missing or ``REPRO_NATIVE=0``
-is set, everything silently falls back to the numpy bitset kernels — the
-native path is a pure accelerator, never a dependency, and its ``(h, mask)``
-results are bit-identical to the bitset backend's for every ``jobs`` value.
+compiler at first use and loaded through ``ctypes``; n ≤ 64) — or its
+numpy port :func:`_scan_span`.  ``backend="auto"`` picks native whenever
+the library is importable and the graph fits; without a compiler or with
+``REPRO_NATIVE=0`` everything falls back to numpy.  The native path is an
+accelerator, never a dependency.
 
-Together these lift the exactly-solvable regime from 22 (seed) to
-:data:`DEFAULT_EXACT_LIMIT` = 32 vertices on either backend (override with
-the ``REPRO_EXACT_LIMIT`` environment variable or the ``limit=``
-parameter).  All kernels return results bit-identical to the seed
-enumerator: the same ``h`` float and the *smallest* minimizing subset
-mask.
+**Sharding.** The subset space splits into prefix-fixed spans (the
+vertices ``>= b = min(n, 16)`` fixed).  With ``jobs > 1`` the spans fan
+out over the shared process pool with a shared running minimum for
+cross-shard pruning; the merge is a deterministic lexicographic ``(h,
+mask)`` reduction, so results are identical for every ``jobs`` value.
+
+Every path returns results bit-identical to the seed enumerator: the same
+``h`` float and the *smallest* minimizing subset mask.
 """
 
 from __future__ import annotations
@@ -75,7 +57,7 @@ import operator
 import os
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -92,7 +74,6 @@ __all__ = [
     "effective_exact_limit",
     "native_backend_available",
     "exact_edge_expansion_v2",
-    "exact_small_set_expansion_v2",
 ]
 
 #: The policy-selected enumeration ceiling.  The 32-vertex circulant graph
@@ -549,69 +530,7 @@ def _full_scan(
 
 
 # ---------------------------------------------------------------------- #
-# the size-restricted combinatorial walk                                  #
-# ---------------------------------------------------------------------- #
-
-
-def _gosper_chunks(n: int, j: int, chunk: int) -> Iterator[np.ndarray]:
-    """Yield uint64 arrays of all ``C(n, j)`` masks of popcount ``j``,
-    in ascending order (Gosper's successor), ``chunk`` masks at a time."""
-    m = (1 << j) - 1
-    top = 1 << n
-    buf: list[int] = []
-    while m < top:
-        buf.append(m)
-        if len(buf) == chunk:
-            yield np.array(buf, dtype=np.uint64)
-            buf = []
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
-    if buf:
-        yield np.array(buf, dtype=np.uint64)
-
-
-def _bounded_scan(
-    adj: list[int],
-    deg: list[int],
-    d: int,
-    n: int,
-    s_max: int,
-    best: tuple[float, int],
-) -> tuple[float, int]:
-    """Minimum-ratio cut over the ``C(n, ≤s_max)`` subsets of size ≤ s_max.
-
-    Vectorized over Gosper-ordered mask chunks: the boundary is
-    ``vol(U) − Σ_{v∈U} |N(v) ∩ U|`` computed with packed-word popcounts, so
-    the cost per subset is O(n/64) words, independent of |E|.
-    """
-    if n > 63:
-        raise ValueError(
-            "size-restricted exact walk supports at most 63 vertices "
-            f"(got {n}); shard the graph or use the spectral sandwich"
-        )
-    adj64 = np.array([a for a in adj], dtype=np.uint64)
-    deg64 = np.array(deg, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.uint64)
-    one = np.uint64(1)
-    best_r, best_m = best
-    for j in range(1, s_max + 1):
-        dj = d * j
-        for masks in _gosper_chunks(n, j, 1 << 14):
-            member = ((masks[:, None] >> shifts[None, :]) & one).astype(np.int64)
-            inter = np.bitwise_count(masks[:, None] & adj64[None, :]).astype(np.int64)
-            bnd = member @ deg64 - (inter * member).sum(axis=1)
-            ratios = bnd / dj
-            i = int(np.argmin(ratios))
-            r = float(ratios[i])
-            m = int(masks[i])
-            if r < best_r or (r == best_r and m < best_m):
-                best_r, best_m = r, m
-    return best_r, best_m
-
-
-# ---------------------------------------------------------------------- #
-# the scalar size-restricted walk (n > 63)                                #
+# the size-restricted walk (past the limit)                               #
 # ---------------------------------------------------------------------- #
 
 
@@ -643,12 +562,8 @@ def _bounded_walk_py(
 
 
 # ---------------------------------------------------------------------- #
-# public façade                                                           #
+# the entry point                                                         #
 # ---------------------------------------------------------------------- #
-
-
-def _comb_subsets(n: int, s: int) -> int:
-    return sum(math.comb(n, j) for j in range(1, s + 1))
 
 
 def exact_edge_expansion_v2(
@@ -659,15 +574,18 @@ def exact_edge_expansion_v2(
     limit: int | None = None,
     backend: str = "auto",
 ) -> tuple[float, np.ndarray]:
-    """Exact ``h(G)`` (or ``h_s`` when ``max_size`` is given) — ``(h, mask)``.
+    """Exact ``h(G)`` (Eq. 4), or ``h_s`` (Eq. 5) with ``max_size=s`` — ``(h, mask)``.
 
     Bit-identical to the seed enumerator on every input it could solve: the
-    same ``h`` and the smallest minimizing subset mask.  ``jobs > 1`` shards
-    the subset space over processes (identical results for any ``jobs``).
-    ``backend`` selects ``"native"`` (the compiled C kernel) or ``"bitset"``
-    (vectorized numpy kernels); ``"auto"`` picks native when the compiled
-    library is importable and the graph fits single-word rows, bitset
-    otherwise.  All backends return bit-identical ``(h, mask)``.
+    same ``h`` and the smallest minimizing subset mask.  Up to the limit the
+    branch-and-bound scan answers every question, capped at ``max_size``
+    (``n // 2`` without it); past the limit only ``h_s`` is defined, by the
+    size-restricted walk.  ``jobs > 1`` shards the scan over processes
+    (identical results for any ``jobs``).  ``backend`` selects the scan
+    kernel: ``"native"`` (the compiled C kernel) or ``"bitset"`` (numpy);
+    ``"auto"`` picks native when the compiled library is importable and the
+    graph fits single-word rows, bitset otherwise.  Both return
+    bit-identical ``(h, mask)``.
     """
     n = g.n_vertices
     if n < 2:
@@ -700,47 +618,24 @@ def exact_edge_expansion_v2(
     adj = _ints_from_rows(g.adjacency_bits)
     deg = [int(x) for x in g.degree]
 
-    restricted = max_size is not None
-    comb_count = _comb_subsets(n, size_cap) if restricted else 0
-    comb_feasible = restricted and comb_count <= COMB_SUBSET_LIMIT
-    if n > lim:
-        if not restricted:
-            raise ValueError(
-                f"exact enumeration limited to {lim} vertices; got {n} "
-                "(pass max_size= for the size-restricted walk, or raise "
-                "REPRO_EXACT_LIMIT)"
-            )
-        if not comb_feasible:
-            raise ValueError(
-                f"exact h_s infeasible: {n} vertices exceeds the enumeration "
-                f"limit {lim} and C({n}, <={size_cap}) = {comb_count} exceeds "
-                f"{COMB_SUBSET_LIMIT} subsets"
-            )
-
-    # Cost-based choice between the full doubling scan and the combinatorial
-    # walk; both are exact and tie-break identically, so this is pure perf.
-    # (The size-restricted walk shares the bitset machinery regardless of
-    # backend — the native kernel only accelerates the full scan.)
-    use_comb = comb_feasible and (n > lim or comb_count * n < (1 << n))
-    if use_comb:
-        if n > 63:  # beyond uint64 masks: the Python-int walk still works
-            r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
-        else:
-            r, m = _bounded_scan(adj, deg, d, n, size_cap, (math.inf, 0))
-    else:
+    if n <= lim:
         native = backend == "native" or (
             backend == "auto" and n <= _NATIVE_MAX_VERTICES and _native.native_available()
         )
         r, m = _full_scan(adj, deg, d, n, size_cap, jobs, "native" if native else "bitset")
+        return r, _mask_to_bool(m, n)
+    if max_size is None:
+        raise ValueError(
+            f"exact enumeration limited to {lim} vertices; got {n} "
+            "(pass max_size= for the size-restricted walk, or raise "
+            "REPRO_EXACT_LIMIT)"
+        )
+    comb_count = sum(math.comb(n, j) for j in range(1, size_cap + 1))
+    if comb_count > COMB_SUBSET_LIMIT:
+        raise ValueError(
+            f"exact h_s infeasible: {n} vertices exceeds the enumeration "
+            f"limit {lim} and C({n}, <={size_cap}) = {comb_count} exceeds "
+            f"{COMB_SUBSET_LIMIT} subsets"
+        )
+    r, m = _bounded_walk_py(adj, deg, d, n, size_cap)
     return r, _mask_to_bool(m, n)
-
-
-def exact_small_set_expansion_v2(
-    g: CDAG, s: int, *, jobs: int = 1, limit: int | None = None
-) -> tuple[float, np.ndarray]:
-    """Exact ``h_s(G)`` (Eq. 5) with its witness, via the size-restricted walk.
-
-    Feasible far beyond the full-enumeration limit: a 40-vertex graph at
-    ``s=3`` costs ``C(40, ≤3) ≈ 10^4`` evaluations, not ``2^40``.
-    """
-    return exact_edge_expansion_v2(g, max_size=s, jobs=jobs, limit=limit)

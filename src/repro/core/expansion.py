@@ -14,9 +14,9 @@ Exact ``h`` is NP-hard, so the module offers a *sandwich*:
   vertices, 32 by default) — ground truth for the test suite and for the
   ``Dec_k C`` base cases (``Dec₁C`` of every scheme, and ``Dec₂C`` of the
   ⟨1,2,2⟩-type rectangular schemes).  The enumeration itself lives in
-  :mod:`repro.core.exact` (bitset kernels, Gray-style incremental scans, a
-  size-restricted walk for ``h_s``, optional process-parallel sharding);
-  this module keeps thin façades with the historical signatures;
+  :mod:`repro.core.exact`, whose one entry point
+  :func:`~repro.core.exact.exact_edge_expansion_v2` gives ``h`` and, with
+  ``max_size=s``, ``h_s``;
 * **spectral (Cheeger) bounds** — ``λ₂/2 ≤ h(G) ≤ √(2 λ₂)`` for the
   loop-regularized graph, computed with sparse eigensolvers: a certified
   lower bound on one side;
@@ -56,23 +56,16 @@ from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
 from repro.cdag.strassen_cdag import dec_level_sizes
 from repro.core.certify import METHOD_PROVENANCE, ExpansionInterval
-from repro.core.exact import (
-    effective_exact_limit,
-    exact_edge_expansion_v2,
-    exact_small_set_expansion_v2,
-)
+from repro.core.exact import effective_exact_limit, exact_edge_expansion_v2
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "effective_exact_limit",
     "POLICIES",
     "validate_policy",
     "ExpansionEstimate",
     "expansion_of_cut",
-    "exact_edge_expansion",
-    "exact_small_set_expansion",
     "spectral_lower_bound",
     "fiedler_sweep_cut",
     "decode_cone_mask",
@@ -129,32 +122,6 @@ def expansion_of_cut(g: CDAG, mask: np.ndarray, degree: int | None = None) -> fl
         raise ValueError("cut set exceeds |V|/2; expansion is defined on the smaller side")
     d = degree if degree is not None else g.max_degree
     return g.edge_boundary_size(mask) / (d * size)
-
-
-# ---------------------------------------------------------------------- #
-# exact enumeration (facades over repro.core.exact)                        #
-# ---------------------------------------------------------------------- #
-
-
-def exact_edge_expansion(
-    g: CDAG, max_size: int | None = None, *, jobs: int = 1
-) -> tuple[float, np.ndarray]:
-    """Exact ``h(G)`` (or ``h_s`` when ``max_size`` given) by enumeration.
-
-    Returns ``(h, best_mask)`` — bit-identical to the seed brute-force
-    enumerator (same ``h``, smallest minimizing mask).  Feasible for
-    ``|V| <= effective_exact_limit()`` (32 by default); with ``max_size`` set, the
-    size-restricted walk also solves much larger graphs as long as
-    ``C(n, <=max_size)`` stays enumerable.  ``jobs > 1`` shards the subset
-    space over worker processes without changing the result.
-    """
-    return exact_edge_expansion_v2(g, max_size=max_size, jobs=jobs)
-
-
-def exact_small_set_expansion(g: CDAG, s: int, *, jobs: int = 1) -> float:
-    """Exact ``h_s(G)`` (Eq. 5) via the size-restricted combinatorial walk."""
-    h, _ = exact_small_set_expansion_v2(g, s, jobs=jobs)
-    return h
 
 
 # ---------------------------------------------------------------------- #
@@ -427,7 +394,7 @@ def estimate_expansion(
     if policy == "auto":
         policy = "exact" if g.n_vertices <= effective_exact_limit() else "spectral"
     if policy == "exact":
-        h, mask = exact_edge_expansion(g, jobs=jobs)
+        h, mask = exact_edge_expansion_v2(g, jobs=jobs)
         return _estimate(g, h, h, mask, "exact")
     if policy == "cone":
         if scheme is None or k is None:

@@ -496,13 +496,13 @@ def _bench_exact_v2(cache: EngineCache, n_head: int, n_deep: int, dec2_scheme: s
     the "auto" policy) were outside the pre-v2 exactly-solvable regime.
     """
     from repro.cdag.build import layered_circulant_cdag
-    from repro.core.expansion import exact_edge_expansion
+    from repro.core.exact import exact_edge_expansion_v2
     from repro.engine.builders import cached_estimate
 
     g_head = layered_circulant_cdag(n_head)
-    h_head, m_head = exact_edge_expansion(g_head)
+    h_head, m_head = exact_edge_expansion_v2(g_head)
     g_deep = layered_circulant_cdag(n_deep)
-    h_deep, m_deep = exact_edge_expansion(g_deep)
+    h_deep, m_deep = exact_edge_expansion_v2(g_deep)
     est = cached_estimate(dec2_scheme, 2, policy="auto", cache=cache)
     return {
         "check": {

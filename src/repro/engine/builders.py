@@ -21,9 +21,9 @@ import numpy as np
 from repro.cdag.graph import CDAG
 from repro.cdag.schemes import BilinearScheme, get_scheme
 from repro.cdag.strassen_cdag import HGraph, dec_graph, dec_vertex_count, h_graph
+from repro.core.exact import effective_exact_limit
 from repro.core.expansion import (
     ExpansionEstimate,
-    effective_exact_limit,
     estimate_expansion,
     spectral_lower_bound,
     validate_policy,

@@ -461,19 +461,6 @@ class EngineCache:
         with self._lock:
             return self.stats.as_dict()
 
-    def reset_stats(self) -> dict[str, int]:
-        """Zero the hit/miss/store/build counters; returns the old values.
-
-        The counters are otherwise monotone for the life of the instance,
-        which makes cold-vs-warm accounting across consecutive runs
-        impossible to read off directly — resetting between phases makes
-        each phase's counters exact.  Cached artifacts are untouched.
-        """
-        with self._lock:
-            old = self.stats.as_dict()
-            self.stats = CacheStats()
-            return old
-
     def merge_stats(self, delta: dict[str, int]) -> None:
         """Fold counter increments from a worker process into this instance.
 

@@ -99,7 +99,6 @@ __all__ = [
     "pool_info",
     "pool_stats_snapshot",
     "prewarm",
-    "reset_pool_stats",
     "serial_fallback_reason",
     "shutdown_pool",
     "submit_batch",
@@ -141,10 +140,6 @@ class PoolStats:
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
-
-    def delta_since(self, before: dict[str, int]) -> dict[str, int]:
-        """Counter increments since a previous :meth:`as_dict` snapshot."""
-        return {k: v - before.get(k, 0) for k, v in self.as_dict().items()}
 
 
 # ---------------------------------------------------------------------- #
@@ -467,12 +462,6 @@ def pool_stats_snapshot() -> dict[str, int]:
     """Point-in-time copy of the pool counters (bench/`/cache/info` feed)."""
     with _STATE_LOCK:
         return _STATS.as_dict()
-
-
-def reset_pool_stats() -> None:
-    with _STATE_LOCK:
-        for f in fields(PoolStats):
-            setattr(_STATS, f.name, 0)
 
 
 def pool_info() -> dict[str, Any]:

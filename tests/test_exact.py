@@ -21,6 +21,7 @@ from repro.cdag.build import GraphBuilder, layered_circulant_cdag
 from repro.cdag.classical_cdag import classical_matmul_cdag
 from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec1_graph, dec_graph
+from repro.core import exact as exact_mod
 from repro.core.exact import (
     DEFAULT_EXACT_LIMIT,
     _bounded_walk_py,
@@ -33,14 +34,9 @@ from repro.core.exact import (
     _search_ctx,
     effective_exact_limit,
     exact_edge_expansion_v2,
-    exact_small_set_expansion_v2,
     native_backend_available,
 )
-from repro.core.expansion import (
-    estimate_expansion,
-    exact_edge_expansion,
-    exact_small_set_expansion,
-)
+from repro.core.expansion import estimate_expansion
 
 
 def _oracle_ratios(g: CDAG, max_size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -427,14 +423,11 @@ class TestRaisedLimit:
 
     def test_n26_full_solve_works(self):
         g = layered_circulant_cdag(26)
-        h, mask = exact_edge_expansion(g)  # the public façade delegates to v2
+        h, mask = exact_edge_expansion_v2(g)
         # the witness is a certified cut: ratio recomputed from the graph
         from repro.core.expansion import expansion_of_cut
 
         assert h == pytest.approx(expansion_of_cut(g, mask))
-        h_v2, m_v2 = exact_edge_expansion_v2(g)
-        assert h == h_v2
-        assert np.array_equal(mask, m_v2)
 
     def test_n32_full_solve_under_native(self):
         # The new ceiling's headline case: 2^32 subsets in seconds.  Skipped
@@ -492,10 +485,10 @@ class TestPaperValues:
     def test_classical2_and_dec1_exact_values(self):
         g_cl = classical_matmul_cdag(2)  # 20 vertices: ~1M subsets enumerated
         assert g_cl.n_vertices == 20
-        assert exact_edge_expansion(g_cl)[0] == pytest.approx(2 / 15, rel=1e-12)
+        assert exact_edge_expansion_v2(g_cl)[0] == pytest.approx(2 / 15, rel=1e-12)
         g_dec = dec1_graph("strassen")
-        assert exact_edge_expansion(g_dec)[0] == pytest.approx(0.15, rel=1e-12)
-        assert exact_small_set_expansion(g_dec, 3) == pytest.approx(1 / 6, rel=1e-12)
+        assert exact_edge_expansion_v2(g_dec)[0] == pytest.approx(0.15, rel=1e-12)
+        assert exact_edge_expansion_v2(g_dec, max_size=3)[0] == pytest.approx(1 / 6, rel=1e-12)
 
     def test_strassen_decay_table(self):
         from repro.engine.cache import EngineCache
@@ -517,11 +510,11 @@ class TestPaperValues:
 
 class TestSmallSetWalk:
     def test_40_vertex_h3(self):
-        # impossible pre-PR: n=40 is far beyond any full enumeration
+        # n=40 is far beyond any full enumeration
         g = layered_circulant_cdag(40)
-        h3, mask = exact_small_set_expansion_v2(g, 3)
+        h3, mask = exact_edge_expansion_v2(g, max_size=3)
         assert 1 <= mask.sum() <= 3
-        hs = [exact_small_set_expansion(g, s) for s in (1, 2, 3)]
+        hs = [exact_edge_expansion_v2(g, max_size=s)[0] for s in (1, 2, 3)]
         assert hs[0] >= hs[1] >= hs[2]  # larger budgets can only cut deeper
         assert hs[2] == h3
         assert hs == pytest.approx([1 / 2, 5 / 12, 7 / 18], rel=1e-12)
@@ -530,7 +523,7 @@ class TestSmallSetWalk:
         g = layered_circulant_cdag(40)
         adj, deg, d, _ = _scalar_args(g)
         r_walk, m_walk = _bounded_walk_py(adj, deg, d, 40, 3)
-        h3, mask = exact_small_set_expansion_v2(g, 3)
+        h3, mask = exact_edge_expansion_v2(g, max_size=3)
         assert h3 == r_walk
 
     def test_infeasible_walk_reports_clearly(self):
@@ -539,14 +532,49 @@ class TestSmallSetWalk:
             exact_edge_expansion_v2(g, max_size=30, limit=28)
 
     def test_beyond_uint64_uses_python_int_walk(self):
-        # n > 63 exceeds the vectorized walk's packed masks; the scalar
-        # combinatorial walk (arbitrary-width ints) takes over seamlessly.
+        # n > 63 exceeds packed uint64 masks; the walk's arbitrary-width
+        # ints take it as they take every search past the limit.
         g = layered_circulant_cdag(70)
         h2, mask = exact_edge_expansion_v2(g, max_size=2)
         adj, deg, d, _ = _scalar_args(g)
         r_ref, _ = _bounded_walk_py(adj, deg, d, 70, 2)
         assert h2 == r_ref
         assert 1 <= mask.sum() <= 2
+
+
+class TestDispatch:
+    """The limit alone picks the search: the scan up to it, the walk past it."""
+
+    @staticmethod
+    def _spy(monkeypatch, name: str) -> list[int]:
+        # record each call's size cap (the scan's ``limit``, the walk's ``s_max``)
+        caps: list[int] = []
+        real = getattr(exact_mod, name)
+
+        def spy(adj, deg, d, n, cap, *rest):
+            caps.append(cap)
+            return real(adj, deg, d, n, cap, *rest)
+
+        monkeypatch.setattr(exact_mod, name, spy)
+        return caps
+
+    def test_capped_search_below_limit_runs_the_scan(self, monkeypatch):
+        scans = self._spy(monkeypatch, "_full_scan")
+        walks = self._spy(monkeypatch, "_bounded_walk_py")
+        g = layered_circulant_cdag(24)
+        h, mask = exact_edge_expansion_v2(g, max_size=6, limit=32)
+        assert (scans, walks) == ([6], [])
+        adj, deg, d, n = _scalar_args(g)
+        r_w, m_w = _bounded_walk_py(adj, deg, d, n, 6)
+        assert h == r_w
+        assert np.array_equal(mask, _mask_to_bool(m_w, n))
+
+    @pytest.mark.parametrize("n, s", [(40, 3), (70, 2)])
+    def test_capped_search_past_limit_runs_the_walk(self, monkeypatch, n, s):
+        scans = self._spy(monkeypatch, "_full_scan")
+        walks = self._spy(monkeypatch, "_bounded_walk_py")
+        exact_edge_expansion_v2(layered_circulant_cdag(n), max_size=s, limit=32)
+        assert (scans, walks) == ([], [s])
 
 
 class TestBitsetAdjacency:

@@ -6,13 +6,12 @@ import pytest
 from repro.cdag.build import GraphBuilder
 from repro.cdag.graph import CDAG, VertexKind
 from repro.cdag.strassen_cdag import dec_graph
+from repro.core.exact import exact_edge_expansion_v2
 from repro.core.expansion import (
     claim_2_1_small_set_bound,
     decode_cone_mask,
     decode_cone_upper_bound,
     estimate_expansion,
-    exact_edge_expansion,
-    exact_small_set_expansion,
     expansion_of_cut,
     fiedler_sweep_cut,
     spectral_lower_bound,
@@ -60,28 +59,28 @@ def _cycle(n: int) -> CDAG:
 class TestExact:
     def test_path_expansion(self, path_graph):
         # a path of 6: best cut is one end-half, boundary 1, d=2
-        h, mask = exact_edge_expansion(path_graph)
+        h, mask = exact_edge_expansion_v2(path_graph)
         assert h == pytest.approx(1 / (2 * 3))
         assert mask.sum() == 3
 
     def test_exact_matches_cut_evaluation(self, diamond_graph):
-        h, mask = exact_edge_expansion(diamond_graph)
+        h, mask = exact_edge_expansion_v2(diamond_graph)
         assert h == pytest.approx(expansion_of_cut(diamond_graph, mask))
 
     def test_small_set_restriction_monotone(self, path_graph):
         # restricting the set size can only increase the minimum ratio
-        h_all = exact_small_set_expansion(path_graph, 3)
-        h_small = exact_small_set_expansion(path_graph, 1)
+        h_all = exact_edge_expansion_v2(path_graph, max_size=3)[0]
+        h_small = exact_edge_expansion_v2(path_graph, max_size=1)[0]
         assert h_small >= h_all
 
     def test_too_large_graph_rejected(self):
         g = dec_graph("strassen", 3)
         with pytest.raises(ValueError, match="enumeration"):
-            exact_edge_expansion(g)
+            exact_edge_expansion_v2(g)
 
     def test_dec1_exact_value(self):
         # ground truth for Dec1C of Strassen, used by E3's first row
-        h, mask = exact_edge_expansion(dec_graph("strassen", 1))
+        h, mask = exact_edge_expansion_v2(dec_graph("strassen", 1))
         assert 0 < h < 0.5714
         assert 1 <= mask.sum() <= 5
 
@@ -92,7 +91,7 @@ class TestVectorizedExact:
 
     def test_matches_reference_on_fixtures(self, path_graph, diamond_graph):
         for g in (path_graph, diamond_graph):
-            h_new, mask_new = exact_edge_expansion(g)
+            h_new, mask_new = exact_edge_expansion_v2(g)
             h_ref, mask_ref = _exact_edge_expansion_reference(g)
             assert h_new == h_ref
             assert np.array_equal(mask_new, mask_ref)
@@ -100,7 +99,7 @@ class TestVectorizedExact:
     @pytest.mark.parametrize("scheme", ["strassen", "winograd"])
     def test_matches_reference_on_dec1(self, scheme):
         g = dec_graph(scheme, 1)
-        h_new, mask_new = exact_edge_expansion(g)
+        h_new, mask_new = exact_edge_expansion_v2(g)
         h_ref, mask_ref = _exact_edge_expansion_reference(g)
         assert h_new == h_ref
         assert np.array_equal(mask_new, mask_ref)
@@ -117,14 +116,14 @@ class TestVectorizedExact:
             if not src:
                 continue
             g = CDAG(n, np.array(src), np.array(dst), np.zeros(n, dtype=np.int8))
-            h_new, mask_new = exact_edge_expansion(g)
+            h_new, mask_new = exact_edge_expansion_v2(g)
             h_ref, mask_ref = _exact_edge_expansion_reference(g)
             assert h_new == h_ref
             assert np.array_equal(mask_new, mask_ref)
 
     def test_matches_reference_with_max_size(self, path_graph):
         for s in (1, 2, 3):
-            h_new, _ = exact_edge_expansion(path_graph, max_size=s)
+            h_new, _ = exact_edge_expansion_v2(path_graph, max_size=s)
             h_ref, _ = _exact_edge_expansion_reference(path_graph, max_size=s)
             assert h_new == h_ref
 
@@ -275,7 +274,7 @@ class TestSpectral:
 
     def test_lower_below_exact_on_tiny(self):
         g = dec_graph("strassen", 1)
-        h, _ = exact_edge_expansion(g)
+        h, _ = exact_edge_expansion_v2(g)
         lower, _ = spectral_lower_bound(g)
         assert lower <= h + 1e-9
 
@@ -364,7 +363,7 @@ class TestClaim21:
         # h_s of Dec_3 for s <= |Dec_1|/2 is at least h(Dec_1) * d'/d
         g_small = dec_graph("strassen", 1)
         g_big = dec_graph("strassen", 3)
-        h_small, _ = exact_edge_expansion(g_small)
+        h_small, _ = exact_edge_expansion_v2(g_small)
         bound = claim_2_1_small_set_bound(h_small, g_small.max_degree, g_big.max_degree)
         # verify on every singleton + the known small sets (exact h_s is
         # infeasible; we check the bound against sampled small cuts)

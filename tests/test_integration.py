@@ -15,11 +15,11 @@ from repro.cdag.schedule import dfs_topological_order
 from repro.cdag.strassen_cdag import dec_graph, h_graph
 from repro.core.bounds import LG7, parallel_io_bound, sequential_io_bound
 from repro.core.dominator import minimum_dominator_size
+from repro.core.exact import exact_edge_expansion_v2
 from repro.core.expansion import (
     claim_2_1_small_set_bound,
     decode_cone_upper_bound,
     estimate_expansion,
-    exact_edge_expansion,
 )
 from repro.core.partition import best_partition_bound, expansion_io_bound
 from repro.parallel import ParallelConfig, get_parallel
@@ -175,7 +175,7 @@ class TestLemma43EndToEnd:
 
     def test_exact_vs_witness_at_k1(self):
         g = dec_graph("strassen", 1)
-        h, _ = exact_edge_expansion(g)
+        h, _ = exact_edge_expansion_v2(g)
         est = estimate_expansion(g)
         assert est.lower == pytest.approx(h)
         assert est.upper == pytest.approx(h)

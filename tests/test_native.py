@@ -17,6 +17,7 @@ from repro.cdag.graph import CDAG
 from repro.core import _native
 from repro.core.exact import (
     EXACT_BACKENDS,
+    _bounded_walk_py,
     _mask_to_bool,
     exact_edge_expansion_v2,
     native_backend_available,
@@ -86,14 +87,18 @@ class TestNativeEquivalence:
         assert np.array_equal(m_n, m_b)
 
     @needs_native
-    def test_restricted_walk_agrees_through_native_dispatch(self):
-        # max_size= routes through the shared combinatorial machinery; the
-        # answer must be identical whichever backend the caller named.
-        g = layered_circulant_cdag(20)
-        h_b, m_b = exact_edge_expansion_v2(g, max_size=4, backend="bitset")
-        h_n, m_n = exact_edge_expansion_v2(g, max_size=4, backend="native")
-        assert h_n == h_b
-        assert np.array_equal(m_n, m_b)
+    @pytest.mark.parametrize("max_size", [2, 4, 7])
+    @pytest.mark.parametrize("n", [20, 28])
+    def test_restricted_walk_agrees_through_native_dispatch(self, n, max_size):
+        # Below the limit max_size= caps the branch-and-bound on the named
+        # backend; both must give the size-restricted walk's (h, mask).
+        g = layered_circulant_cdag(n)
+        adj, deg, d, _ = _scalar_args(g)
+        r_w, m_w = _bounded_walk_py(adj, deg, d, n, max_size)
+        for backend in ("bitset", "native"):
+            h, m = exact_edge_expansion_v2(g, max_size=max_size, backend=backend)
+            assert h == r_w, backend
+            assert np.array_equal(m, _mask_to_bool(m_w, n)), backend
 
     @needs_native
     def test_edgeless_graph_matches_bitset_nan_contract(self):

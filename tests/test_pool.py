@@ -8,7 +8,9 @@ grid's row order and the exact engine's ``(h, mask)`` merge rely on.
 
 Pool state is process-global, so every test that touches lifecycle or
 counters goes through the ``fresh_pool`` fixture: boot from a clean
-slate, restore the fallback state afterwards.
+slate, restore the fallback state afterwards.  The counters are monotone,
+so each test reads increments since a ``pool_stats_snapshot()``: the
+fixture's own value, or one it takes mid-test.
 """
 
 from __future__ import annotations
@@ -63,9 +65,15 @@ def _random_graph(n: int, seed: int, p: float = 0.35) -> CDAG:
     return CDAG(n, np.array(src), np.array(dst), np.zeros(n, dtype=np.int8))
 
 
+def _since(before: dict[str, int]) -> dict[str, int]:
+    """Pool counter increments since a ``pool_stats_snapshot()``."""
+    return {k: v - before[k] for k, v in pool_runtime.pool_stats_snapshot().items()}
+
+
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """A clean, enabled pool slate; restores fallback state afterwards.
+    """A clean, enabled pool slate; yields the counters' snapshot at the
+    start and restores fallback state afterwards.
 
     These tests exercise the pool runtime itself, so the kill switch is
     forced open regardless of the environment (the ``REPRO_POOL=0`` CI leg
@@ -76,8 +84,7 @@ def fresh_pool(monkeypatch):
     pool_runtime.shutdown_pool()
     saved_reason = pool_runtime._FALLBACK_REASON
     pool_runtime._FALLBACK_REASON = None
-    pool_runtime.reset_pool_stats()
-    yield
+    yield pool_runtime.pool_stats_snapshot()
     pool_runtime.shutdown_pool()
     pool_runtime._FALLBACK_REASON = saved_reason
 
@@ -120,14 +127,14 @@ class TestSubmitBatch:
     def test_workers_clamped_to_task_count(self, fresh_pool):
         before = pool_runtime.pool_stats_snapshot()
         pool_runtime.submit_batch(_square, [1, 2, 3], workers=16)
-        delta = pool_runtime._STATS.delta_since(before)
+        delta = _since(before)
         assert 0 < delta["workers_spawned"] <= 3
 
     def test_env_cap_limits_pool_size(self, fresh_pool, monkeypatch):
         monkeypatch.setenv(pool_runtime.POOL_JOBS_ENV, "2")
         before = pool_runtime.pool_stats_snapshot()
         pool_runtime.submit_batch(_square, list(range(6)), workers=4)
-        delta = pool_runtime._STATS.delta_since(before)
+        delta = _since(before)
         assert delta["workers_spawned"] <= 2
 
     def test_task_exception_propagates(self, fresh_pool):
@@ -136,7 +143,7 @@ class TestSubmitBatch:
         # the pool survived the task error: next batch still runs pooled
         before = pool_runtime.pool_stats_snapshot()
         assert pool_runtime.submit_batch(_square, [4, 5], workers=2) == [16, 25]
-        delta = pool_runtime._STATS.delta_since(before)
+        delta = _since(before)
         assert delta["serial_tasks"] == 0
 
 
@@ -157,15 +164,16 @@ class TestLifecycle:
         with tempfile.TemporaryDirectory() as root:
             run_grid(spec, workers=2, cache=EngineCache(root + "/grid"))
             after_grid = pool_runtime.pool_stats_snapshot()
-            assert after_grid["pool_starts"] == 1
-            assert after_grid["workers_spawned"] == 2
+            grid = _since(fresh_pool)
+            assert grid["pool_starts"] == 1
+            assert grid["workers_spawned"] == 2
 
             # the exact scan and a pooled serve job ride the same workers
             exact_edge_expansion_v2(layered_circulant_cdag(18), jobs=2)
             job = parse_job("expansion", {"scheme": "strassen", "k": "1"})
             run_job_pooled(job, root + "/serve")
 
-            delta = pool_runtime._STATS.delta_since(after_grid)
+            delta = _since(after_grid)
             assert delta["pool_starts"] == 0
             assert delta["workers_spawned"] == 0  # zero new processes
             assert delta["warm_dispatches"] >= 2
@@ -182,8 +190,9 @@ class TestLifecycle:
         info = pool_runtime.pool_info()
         assert not info["enabled"]
         assert info["live_workers"] == 0
-        assert info["stats"]["workers_spawned"] == 0
-        assert info["stats"]["serial_tasks"] == 2
+        delta = _since(fresh_pool)
+        assert delta["workers_spawned"] == 0
+        assert delta["serial_tasks"] == 2
 
     def test_broken_pool_respawns_once_then_goes_serial(self, fresh_pool):
         # Every dispatch kills its worker: the first breakage is answered
@@ -192,7 +201,7 @@ class TestLifecycle:
         out = pool_runtime.submit_batch(_crash_in_worker, [1, 2], workers=2)
         assert out == [("inline", 1), ("inline", 2)]
         info = pool_runtime.pool_info()
-        assert info["stats"]["respawns"] == 1
+        assert _since(fresh_pool)["respawns"] == 1
         assert info["serial_fallback"] is not None
         assert "respawn" in info["serial_fallback"]
         assert not info["enabled"]
@@ -201,7 +210,7 @@ class TestLifecycle:
         # worker processes at all
         before = pool_runtime.pool_stats_snapshot()
         assert pool_runtime.submit_batch(_square, [3, 4], workers=2) == [9, 16]
-        delta = pool_runtime._STATS.delta_since(before)
+        delta = _since(before)
         assert delta["workers_spawned"] == 0
         assert delta["serial_tasks"] == 2
 
@@ -218,7 +227,7 @@ class TestLifecycle:
         assert pool_runtime.prewarm(2) == 2
         before = pool_runtime.pool_stats_snapshot()
         pool_runtime.submit_batch(_square, [1, 2, 3, 4], workers=2)
-        delta = pool_runtime._STATS.delta_since(before)
+        delta = _since(before)
         assert delta["workers_spawned"] == 0
         assert delta["warm_dispatches"] == 1
 
