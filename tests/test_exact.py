@@ -532,8 +532,8 @@ class TestSmallSetWalk:
             exact_edge_expansion_v2(g, max_size=30, limit=28)
 
     def test_beyond_uint64_uses_python_int_walk(self):
-        # n > 63 exceeds packed uint64 masks; the walk's arbitrary-width
-        # ints take it as they take every search past the limit.
+        # Past the limit every h_s runs the Python-int walk, so masks wider
+        # than one uint64 word (n > 63) need no special case.
         g = layered_circulant_cdag(70)
         h2, mask = exact_edge_expansion_v2(g, max_size=2)
         adj, deg, d, _ = _scalar_args(g)
